@@ -5,162 +5,41 @@ lowered conv matrices) receive individually scheduled quadratic penalties
 driven by their L1-importance rank. Groups whose penalty drives them to zero
 are pruned permanently, the survivors are compacted into smaller dense
 matrices, and the resulting speedup is measured, not estimated.
+
+The names below are the pipeline the ``increg`` commands run (see README's
+"Library use") and the errors those commands map to exit codes 2 and 3.
 """
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .compact import (
-    CompactNetwork,
-    CompactPlan,
-    FlopsAccount,
-    PlanError,
-    bench,
-    build_plan,
-    compact,
-    count_gflops,
-    render_table,
-    write_bench_report,
-)
-from .config import ConfigError, RunConfig, default_config, load_config, parse_config
-from .data import (
-    DatasetError,
-    batch_iter,
-    load_cifar10,
-    load_idx_pair,
-    make_blobs,
-    parse_idx,
-    split_blobs,
-)
-from .network import (
-    LayerSpec,
-    NetworkState,
-    TrainConfig,
-    backward,
-    build_network,
-    evaluate,
-    forward,
-    loss_and_grads,
-    lr_at,
-    predict,
-    resolve_layers,
-    sgd_step,
-)
-from .report import PruneReport, ReportError, read_csv, validate_report, write_csv
-from .scheduler import (
-    GroupState,
-    LayerGroups,
-    PruneDidNotConverge,
-    PruneSchedule,
-    ScheduleError,
-    build_all_groups,
-    build_groups,
-    delta_lambda,
-    final_rank,
-    materialize_reg,
-    prune_converged,
-    rank_groups,
-    run_pruning,
-    target_count,
-)
-from .tensor import (
-    ConvGeometry,
-    GeometryError,
-    LoweredMatrix,
-    ShapeError,
-    col2im,
-    col_map,
-    compact_gemm,
-    gemm,
-    im2col,
-    lower_kernel,
-    raise_kernel,
-)
-from .theorem import (
-    MinimizationError,
-    Objective1D,
-    StationarityError,
-    dlambda_domega,
-    minimize,
-    objective_library,
-    stationary_lambda,
-    theorem1_suite,
-)
+from .checkpoint import CheckpointError
+from .cli import load_dataset, train_network
+from .compact import PlanError, build_plan, compact, count_gflops
+from .config import ConfigError, parse_config
+from .data import DatasetError
+from .network import build_network, evaluate
+from .report import ReportError
+from .scheduler import PruneDidNotConverge, ScheduleError, materialize_reg, run_pruning
+from .tensor import GeometryError, ShapeError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CheckpointError",
-    "CompactNetwork",
-    "CompactPlan",
     "ConfigError",
-    "ConvGeometry",
     "DatasetError",
-    "FlopsAccount",
     "GeometryError",
-    "GroupState",
-    "LayerGroups",
-    "LayerSpec",
-    "LoweredMatrix",
-    "MinimizationError",
-    "NetworkState",
-    "Objective1D",
     "PlanError",
     "PruneDidNotConverge",
-    "PruneReport",
-    "PruneSchedule",
     "ReportError",
-    "RunConfig",
     "ScheduleError",
     "ShapeError",
-    "StationarityError",
-    "TrainConfig",
-    "backward",
-    "batch_iter",
-    "bench",
-    "build_all_groups",
-    "build_groups",
     "build_network",
     "build_plan",
-    "col2im",
-    "col_map",
     "compact",
-    "compact_gemm",
     "count_gflops",
-    "default_config",
-    "delta_lambda",
-    "dlambda_domega",
     "evaluate",
-    "final_rank",
-    "forward",
-    "gemm",
-    "im2col",
-    "load_checkpoint",
-    "load_cifar10",
-    "load_config",
-    "load_idx_pair",
-    "loss_and_grads",
-    "lower_kernel",
-    "lr_at",
-    "make_blobs",
+    "load_dataset",
     "materialize_reg",
-    "minimize",
-    "objective_library",
     "parse_config",
-    "parse_idx",
-    "predict",
-    "prune_converged",
-    "raise_kernel",
-    "rank_groups",
-    "read_csv",
-    "render_table",
-    "resolve_layers",
     "run_pruning",
-    "save_checkpoint",
-    "sgd_step",
-    "split_blobs",
-    "stationary_lambda",
-    "target_count",
-    "theorem1_suite",
-    "validate_report",
-    "write_bench_report",
-    "write_csv",
+    "train_network",
 ]

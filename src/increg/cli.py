@@ -44,24 +44,9 @@ VALIDATION_ERRORS = (
 
 
 def _load_config(args) -> cfgmod.RunConfig:
-    user = {}
-    if args.config:
-        if not os.path.exists(args.config):
-            raise cfgmod.ConfigError(f"config file not found: {args.config}")
-        import yaml
-
-        with open(args.config) as f:
-            loaded = yaml.safe_load(f)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise cfgmod.ConfigError(f"{args.config} must hold a mapping")
-        user = loaded
-    if args.seed is not None:
-        user["seed"] = args.seed
-    if args.out is not None:
-        user["out"] = args.out
-    return cfgmod.parse_config(user)
+    overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out))
+                 if v is not None}
+    return cfgmod.load_config(args.config or None, overrides)
 
 
 def load_dataset(cfg: cfgmod.RunConfig):
@@ -110,22 +95,29 @@ def _build_net(cfg: cfgmod.RunConfig, input_shape, means):
     return net
 
 
-def train_network(net, x, y, cfg, seed, iters, val=None, log_rows=None):
-    """Plain training loop; logs one row per epoch when a sink is given."""
+def train_network(net, x, y, cfg, seed, iters, val=None, log_rows=None,
+                  masks=None, bias_masks=None):
+    """The SGD loop of both train and retrain.
+
+    Draws batches from a fresh stream seeded ``seed`` and steps the lr
+    schedule from 0, whatever ``net.iteration`` is. ``masks``/``bias_masks``
+    (from :func:`scheduler.materialize_reg`) pin pruned weights at zero.
+    Logs one row per epoch when a sink is given.
+    """
     stream = datamod.batch_iter(x, y, cfg.batch_size, seed)
     per_epoch = max(len(x) // cfg.batch_size, 1)
     loss_acc = 0.0
     for k in range(iters):
-        t = net.iteration
         xb, yb = next(stream)
         loss, dw, db = loss_and_grads(net, xb, yb)
-        sgd_step(net, dw, db, cfg, lr=lr_at(cfg, t))
+        lr = lr_at(cfg, k)
+        sgd_step(net, dw, db, cfg, lr=lr, masks=masks, bias_masks=bias_masks)
         loss_acc += loss
         if log_rows is not None and (k + 1) % per_epoch == 0:
             row = {
                 "iteration": net.iteration,
                 "epoch": (k + 1) // per_epoch,
-                "lr": lr_at(cfg, t),
+                "lr": lr,
                 "train_loss": loss_acc / per_epoch,
             }
             if val is not None and len(val[0]):
@@ -147,22 +139,30 @@ def _write_log(rows: list[dict], path) -> None:
                         for k, v in r.items()})
 
 
+def _fit_and_save(cfg, net, train, val, tcfg, seed, iters, verb, ckpt_name,
+                  scheduler=None, masks=None, bias_masks=None) -> int:
+    """Run train_network with a per-epoch log, then write ``<verb>_log.csv``
+    and the checkpoint; shared by train and retrain."""
+    os.makedirs(cfg.out, exist_ok=True)
+    rows: list[dict] = []
+    train_network(net, train[0], train[1], tcfg, seed, iters, val=val,
+                  log_rows=rows, masks=masks, bias_masks=bias_masks)
+    _write_log(rows, os.path.join(cfg.out, f"{verb}_log.csv"))
+    path = os.path.join(cfg.out, ckpt_name)
+    ckpt.save_checkpoint(path, net, scheduler=scheduler)
+    if len(val[0]):
+        acc, _ = evaluate(net, val[0], val[1])
+        print(f"{verb}ed {iters} iterations, val accuracy {acc:.4f}")
+    print(f"checkpoint: {path}")
+    return 0
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     train, val, _test, input_shape, means = load_dataset(cfg)
     net = _build_net(cfg, input_shape, means)
-    os.makedirs(cfg.out, exist_ok=True)
-    rows: list[dict] = []
-    train_network(net, train[0], train[1], cfg.train, cfg.seed,
-                  cfg.train.max_iters, val=val, log_rows=rows)
-    _write_log(rows, os.path.join(cfg.out, "train_log.csv"))
-    path = os.path.join(cfg.out, "baseline.ckpt")
-    ckpt.save_checkpoint(path, net)
-    if len(val[0]):
-        acc, _ = evaluate(net, val[0], val[1])
-        print(f"trained {cfg.train.max_iters} iterations, val accuracy {acc:.4f}")
-    print(f"checkpoint: {path}")
-    return 0
+    return _fit_and_save(cfg, net, train, val, cfg.train, cfg.seed,
+                         cfg.train.max_iters, "train", "baseline.ckpt")
 
 
 def cmd_prune(args) -> int:
@@ -202,52 +202,22 @@ def cmd_prune(args) -> int:
 
 def cmd_retrain(args) -> int:
     cfg = _load_config(args)
-    train, val, _test, input_shape, means = load_dataset(cfg)
+    train, val, _test, _shape, _means = load_dataset(cfg)
     in_path = args.checkpoint or os.path.join(cfg.out, "pruned.ckpt")
     net, scheduler_meta = ckpt.load_checkpoint(in_path)
     if scheduler_meta is None:
         raise cfgmod.ConfigError(f"{in_path} carries no pruning state to freeze")
     groups = sched.groups_from_meta(net, scheduler_meta)
     _, masks, bias_masks = sched.materialize_reg(net, groups)
-    os.makedirs(cfg.out, exist_ok=True)
-    stream = datamod.batch_iter(train[0], train[1], cfg.retrain.batch_size, cfg.seed + 1)
-    rows: list[dict] = []
-    per_epoch = max(len(train[0]) // cfg.retrain.batch_size, 1)
-    loss_acc = 0.0
-    for k in range(cfg.retrain_iters):
-        xb, yb = next(stream)
-        loss, dw, db = loss_and_grads(net, xb, yb)
-        sgd_step(net, dw, db, cfg.retrain, lr=lr_at(cfg.retrain, k),
-                 masks=masks, bias_masks=bias_masks)
-        loss_acc += loss
-        if (k + 1) % per_epoch == 0:
-            row = {
-                "iteration": net.iteration,
-                "epoch": (k + 1) // per_epoch,
-                "lr": lr_at(cfg.retrain, k),
-                "train_loss": loss_acc / per_epoch,
-            }
-            if len(val[0]):
-                acc, vloss = evaluate(net, val[0], val[1])
-                row["val_accuracy"] = acc
-                row["val_loss"] = vloss
-            rows.append(row)
-            loss_acc = 0.0
-    _write_log(rows, os.path.join(cfg.out, "retrain_log.csv"))
-    out_path = os.path.join(cfg.out, "retrained.ckpt")
-    ckpt.save_checkpoint(out_path, net, scheduler=scheduler_meta)
-    if len(val[0]):
-        acc, _ = evaluate(net, val[0], val[1])
-        print(f"retrained {cfg.retrain_iters} iterations, val accuracy {acc:.4f}")
-    print(f"checkpoint: {out_path}")
-    return 0
+    return _fit_and_save(cfg, net, train, val, cfg.retrain, cfg.seed + 1,
+                         cfg.retrain_iters, "retrain", "retrained.ckpt",
+                         scheduler=scheduler_meta, masks=masks,
+                         bias_masks=bias_masks)
 
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    base_path = args.checkpoint or os.path.join(cfg.out, "baseline.ckpt")
     pruned_path = args.pruned or os.path.join(cfg.out, "pruned.ckpt")
-    net, _ = ckpt.load_checkpoint(base_path)
     pruned, scheduler_meta = ckpt.load_checkpoint(pruned_path)
     if scheduler_meta is None:
         raise cfgmod.ConfigError(f"{pruned_path} carries no pruning state")
@@ -360,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint", metavar="PATH", help="pruned checkpoint")
     sp = sub.add_parser("bench", help="compact a pruned model and time it")
     common(sp)
-    sp.add_argument("--checkpoint", metavar="PATH", help="baseline checkpoint")
     sp.add_argument("--pruned", metavar="PATH", help="pruned checkpoint")
     common(sub.add_parser("verify-theorem", help="run the shrinkage test suite"))
     sp = sub.add_parser("report", help="emit trajectory CSVs and a gnuplot script")

@@ -260,22 +260,26 @@ def parse_config(user: dict | None) -> RunConfig:
     )
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Parse a YAML config file; None gives the pure defaults."""
-    if path is None:
-        return parse_config(None)
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as f:
-        try:
-            user = yaml.safe_load(f)
-        except yaml.YAMLError as e:
-            raise ConfigError(f"cannot parse {path}: {e}") from e
-    if user is None:
-        user = {}
-    if not isinstance(user, dict):
-        raise ConfigError(f"{path} must hold a mapping at the top level")
-    return parse_config(user)
+def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """Parse a YAML config file (None: the pure defaults), then apply overrides.
+
+    ``overrides`` replaces top-level keys of the file's mapping, as the CLI's
+    ``--seed`` and ``--out`` do.
+    """
+    user = {}
+    if path is not None:
+        if not os.path.exists(path):
+            raise ConfigError(f"config file not found: {path}")
+        with open(path) as f:
+            try:
+                user = yaml.safe_load(f)
+            except yaml.YAMLError as e:
+                raise ConfigError(f"cannot parse {path}: {e}") from e
+        if user is None:
+            user = {}
+        if not isinstance(user, dict):
+            raise ConfigError(f"{path} must hold a mapping at the top level")
+    return parse_config({**user, **(overrides or {})})
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -242,8 +242,7 @@ def apply_layer(net: NetworkState, i: int, x: np.ndarray):
         y = y.reshape(x.shape[0], spec.filters, g.out_h, g.out_w)
         return y, ("conv", cols)
     if spec.kind == "relu":
-        mask = x > 0
-        return np.where(mask, x, np.zeros((), dtype=x.dtype)), ("relu", mask)
+        return np.maximum(x, 0), ("relu", x > 0)
     if spec.kind == "maxpool":
         b, c, h, w = x.shape
         win = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)

@@ -392,12 +392,10 @@ def run_pruning(
     schedules: list[PruneSchedule],
     *,
     seed: int | None = None,
-    retrain_iters: int = 0,
-    retrain_cfg: TrainConfig | None = None,
     eval_data: tuple | None = None,
     report_stride: int = 1,
 ) -> tuple[NetworkState, PruneReport, list[LayerGroups]]:
-    """Train for cfg.max_iters while driving per-group factors, then retrain.
+    """Train for cfg.max_iters while driving per-group factors.
 
     Every iteration: refresh norms, prune converged groups (capped at each
     layer's remaining target), record instantaneous ranks. At each layer's
@@ -409,6 +407,9 @@ def run_pruning(
 
     report_stride thins the report to every Nth update step (the first and
     final states are always recorded); it does not change the schedule.
+    Fine-tuning is not part of this phase: pass the masks of
+    :func:`materialize_reg` to ``cli.train_network``, as ``increg retrain``
+    does.
     """
     if report_stride < 1:
         raise ValueError(f"report_stride must be >= 1, got {report_stride}")
@@ -469,7 +470,6 @@ def run_pruning(
     summary = {
         "converged_iteration": converged_at,
         "prune_iters": cfg.max_iters,
-        "retrain_iters": retrain_iters,
         "layers": [
             {
                 "layer": lg.layer,
@@ -492,15 +492,6 @@ def run_pruning(
             + ", ".join(f"layer {l}: {p}/{t}" for l, (p, t) in missing.items()),
             report, layer_groups,
         )
-
-    if retrain_iters:
-        rcfg = retrain_cfg or cfg
-        _, masks, bias_masks = materialize_reg(net, layer_groups)
-        for k in range(retrain_iters):
-            xb, yb = next(stream)
-            _, dw, db = loss_and_grads(net, xb, yb)
-            sgd_step(net, dw, db, rcfg, lr=lr_at(rcfg, k),
-                     masks=masks, bias_masks=bias_masks)
 
     if eval_data is not None:
         acc, loss = evaluate(net, eval_data[0], eval_data[1])

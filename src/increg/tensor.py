@@ -1,4 +1,4 @@
-"""Dense tensors, convolution lowering, GEMM, and compacted GEMM.
+"""Convolution geometry and batched im2col/col2im lowering.
 
 Conventions used throughout the package:
 
@@ -24,18 +24,6 @@ class GeometryError(ValueError):
 
 class ShapeError(ValueError):
     """Operand shapes do not satisfy an operation's contract."""
-
-
-def validate_tensor4(arr: np.ndarray) -> np.ndarray:
-    """Check the 4-D tensor convention: 4 axes, float dtype, finite entries."""
-    arr = np.asarray(arr)
-    if arr.ndim != 4:
-        raise ShapeError(f"expected a 4-D tensor, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.floating):
-        raise ShapeError(f"expected a float tensor, got dtype {arr.dtype}")
-    if not np.isfinite(arr).all():
-        raise ValueError("tensor contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -90,71 +78,6 @@ def col_map(geom: ConvGeometry) -> np.ndarray:
     return np.stack([c, kh, kw], axis=1)
 
 
-def col_index(geom: ConvGeometry, channel: int, kh: int, kw: int) -> int:
-    """Inverse of :func:`col_map`: lowered column index of one kernel position."""
-    if not (0 <= channel < geom.in_channels and 0 <= kh < geom.kernel_h and 0 <= kw < geom.kernel_w):
-        raise IndexError(f"kernel position ({channel},{kh},{kw}) out of range for {geom}")
-    return (channel * geom.kernel_h + kh) * geom.kernel_w + kw
-
-
-@dataclass
-class LoweredMatrix:
-    """2-D view of a 4-D kernel: rows are filters, columns kernel positions."""
-
-    data: np.ndarray                  # (rows, cols), row-major
-    col_map: np.ndarray               # (cols, 3) of (channel, kh, kw)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def validate(self) -> None:
-        if self.data.ndim != 2:
-            raise ShapeError(f"lowered matrix must be 2-D, got {self.data.shape}")
-        if self.col_map.shape != (self.cols, 3):
-            raise ShapeError(
-                f"col_map shape {self.col_map.shape} does not match {self.cols} columns"
-            )
-        # bijectivity: every (c,kh,kw) appears exactly once
-        if len({tuple(t) for t in self.col_map.tolist()}) != self.cols:
-            raise ValueError("col_map is not a bijection onto the column set")
-
-
-def lower_kernel(weights: np.ndarray) -> LoweredMatrix:
-    """Lower a (filters, channels, kh, kw) kernel into its 2-D matrix view."""
-    w = validate_tensor4(weights)
-    n, c, kh, kw = w.shape
-    geom = ConvGeometry(in_channels=c, in_h=kh, in_w=kw, kernel_h=kh, kernel_w=kw)
-    return LoweredMatrix(data=w.reshape(n, c * kh * kw), col_map=col_map(geom))
-
-
-def raise_kernel(lowered: LoweredMatrix, dims: tuple[int, int, int, int]) -> np.ndarray:
-    """Invert :func:`lower_kernel`; bit-for-bit with the original tensor."""
-    n, c, kh, kw = dims
-    if lowered.data.shape != (n, c * kh * kw):
-        raise ShapeError(f"lowered shape {lowered.data.shape} does not match dims {dims}")
-    return lowered.data.reshape(n, c, kh, kw)
-
-
-def im2col(image: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Lower one (channels, h, w) image into the (cols, positions) patch matrix.
-
-    Entry (col_index(c,kh,kw), p) is the input pixel under position p's
-    receptive field, zero where the window hangs over the padding.
-    """
-    image = np.asarray(image)
-    if image.ndim != 3 or image.shape != (geom.in_channels, geom.in_h, geom.in_w):
-        raise GeometryError(
-            f"image shape {image.shape} does not match geometry "
-            f"({geom.in_channels},{geom.in_h},{geom.in_w})"
-        )
-    return im2col_batch(image[None], geom)[0]
-
-
 def im2col_batch(
     x: np.ndarray, geom: ConvGeometry, rows: np.ndarray | None = None
 ) -> np.ndarray:
@@ -193,17 +116,6 @@ def _scatter_indices(geom: ConvGeometry) -> np.ndarray:
     return (cm[:, 0][:, None] * hp + rows_h) * wp + rows_w
 
 
-def col2im(cols: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patches back to a (C, H, W) image."""
-    cols = np.asarray(cols)
-    if cols.shape != (geom.cols, geom.positions):
-        raise GeometryError(
-            f"column matrix shape {cols.shape} does not match geometry "
-            f"({geom.cols},{geom.positions})"
-        )
-    return col2im_batch(cols[None], geom)[0]
-
-
 def col2im_batch(cols: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     """Batched adjoint lowering: (batch, cols, positions) -> (batch, C, H, W)."""
     cols = np.asarray(cols)
@@ -221,45 +133,6 @@ def col2im_batch(cols: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     if p:
         out = out[:, :, p:-p, p:-p]
     return np.ascontiguousarray(out)
-
-
-def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real matrix product with shape checking.
-
-    Backed by numpy's BLAS matmul; output is deterministic for identical
-    inputs under a fixed build/thread configuration.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"gemm expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dims mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def compact_gemm(
-    w: LoweredMatrix,
-    keep_rows: np.ndarray,
-    keep_cols: np.ndarray,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Multiply a row/column-restricted lowered weight by a matching input.
-
-    ``x`` must already be restricted to the retained rows: row i of ``x``
-    corresponds to kernel position ``keep_cols[i]``. The result equals the
-    full product with removed entries zeroed, restricted to ``keep_rows``.
-    """
-    keep_rows = _check_index_set(keep_rows, w.rows, "keep_rows")
-    keep_cols = _check_index_set(keep_cols, w.cols, "keep_cols")
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ShapeError(f"input matrix must be 2-D, got {x.shape}")
-    if x.shape[0] != len(keep_cols):
-        raise ShapeError(
-            f"input has {x.shape[0]} rows but {len(keep_cols)} columns are kept"
-        )
-    return gemm(w.data[np.ix_(keep_rows, keep_cols)], x)
 
 
 def _check_index_set(indices, limit: int, name: str) -> np.ndarray:

@@ -15,6 +15,7 @@ from increg.compact import bench, build_plan, compact, count_gflops
 from increg.config import parse_config
 from increg.network import (
     build_network,
+    evaluate,
     forward,
     loss_and_grads,
     softmax_xent,
@@ -25,6 +26,7 @@ from increg.scheduler import (
     build_groups,
     delta_lambda,
     final_rank,
+    materialize_reg,
     prune_converged,
     refresh_l1,
     run_pruning,
@@ -76,13 +78,15 @@ def toy_run(ratio, seed=0, speed=0.05, interval=10, max_iters=8000,
                   cfg.train.max_iters)
     net, rep, lgs = run_pruning(
         net, train[0], train[1], cfg.prune_train, cfg.schedules,
-        seed=cfg.seed,
-        retrain_iters=cfg.retrain_iters if retrain else 0,
-        retrain_cfg=cfg.retrain,
-        eval_data=test,
-        report_stride=cfg.report_stride,
+        seed=cfg.seed, report_stride=cfg.report_stride,
     )
-    _TOY_CACHE[key] = (net, rep, lgs, cfg)
+    if retrain:
+        # exactly what `increg retrain` runs
+        _, masks, bias_masks = materialize_reg(net, lgs)
+        train_network(net, train[0], train[1], cfg.retrain, cfg.seed + 1,
+                      cfg.retrain_iters, masks=masks, bias_masks=bias_masks)
+    acc, _ = evaluate(net, test[0], test[1])
+    _TOY_CACHE[key] = (net, rep, lgs, acc)
     return _TOY_CACHE[key]
 
 
@@ -146,7 +150,7 @@ def test_criterion_3_exact_convergence_counts(capsys):
         expected = {0.25: [2, 8], 0.5: [5, 16], 0.78: [7, 25]}
         details = []
         for ratio, counts in expected.items():
-            _net, rep, lgs, _cfg = toy_run(ratio)
+            _net, rep, lgs, _acc = toy_run(ratio)
             assert [lg.n_groups for lg in lgs] == [9, 32]
             assert [lg.target for lg in lgs] == counts
             assert [target_count(ratio, n) for n in (9, 32)] == counts
@@ -260,7 +264,7 @@ def test_criterion_4_oracle_equivalences(capsys):
         assert worst_fd <= 1e-5
 
         # (c) compacted against masked forward on the converged toy run
-        net, _rep, lgs, _cfg = toy_run(0.5)
+        net, _rep, lgs, _acc = toy_run(0.5)
         cnet = compact(net, build_plan(net, lgs))
         xs = np.random.default_rng(4).standard_normal(
             (100, *net.input_shape)).astype(np.float32)
@@ -334,7 +338,7 @@ def test_criterion_6_survivors_gain_energy(capsys):
     def body():
         details = []
         for seed in (0, 1, 2):
-            _net, rep, lgs, _cfg = toy_run(0.5, seed=seed)
+            _net, rep, lgs, _acc = toy_run(0.5, seed=seed)
             first = min(r[0] for r in rep.rows)
             last = max(r[0] for r in rep.rows)
             for lg in lgs:
@@ -383,12 +387,11 @@ def test_criterion_8_speed_knob_robustness(capsys):
         }
         results = []
         for speed, max_iters in budgets.items():
-            _net, rep, lgs, _cfg = toy_run(
+            _net, rep, lgs, acc = toy_run(
                 0.5, speed=speed, interval=1, max_iters=max_iters,
                 retrain=True)
             assert all(lg.pruned_count == lg.target for lg in lgs)
-            results.append((speed, rep.summary["converged_iteration"],
-                            rep.summary["final_accuracy"]))
+            results.append((speed, rep.summary["converged_iteration"], acc))
         results.sort()
         iters = [r[1] for r in results]
         accs = [r[2] for r in results]

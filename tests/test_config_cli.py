@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from increg.checkpoint import load_checkpoint
-from increg.cli import main
+from increg.cli import load_dataset, main, train_network
 from increg.config import (
     ConfigError,
     PRESETS,
@@ -18,6 +18,7 @@ from increg.config import (
     parse_config,
 )
 from increg.network import build_network
+from increg.scheduler import materialize_reg, run_pruning
 
 
 class TestConfig:
@@ -215,9 +216,15 @@ class TestCli:
         assert main(["train", "--config", str(p)]) == 2
         assert "training" in capsys.readouterr().err
 
+    def test_malformed_yaml_is_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "broken.yaml"
+        p.write_text("train: [1, 2\n")
+        assert main(["print-config", "--config", str(p)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_exit_2(self, tmp_path, capsys):
         assert main(["bench", "--out", str(tmp_path),
-                     "--checkpoint", str(tmp_path / "none.ckpt")]) == 2
+                     "--pruned", str(tmp_path / "none.ckpt")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_verify_theorem(self, tmp_path, capsys):
@@ -311,9 +318,33 @@ class TestCli:
         cfg_path, _ = pipeline_cfg
         outs = [str(tmp_path / "a"), str(tmp_path / "b")]
         for out in outs:
-            assert main(["train", "--config", cfg_path, "--out", out]) == 0
+            for cmd in ("train", "prune", "retrain"):
+                assert main([cmd, "--config", cfg_path, "--out", out]) == 0
             capsys.readouterr()
-        for name in ("baseline.ckpt", "train_log.csv"):
+        for name in ("baseline.ckpt", "train_log.csv", "pruned.ckpt",
+                     "prune_report.csv", "retrained.ckpt", "retrain_log.csv"):
             a = open(os.path.join(outs[0], name), "rb").read()
             b = open(os.path.join(outs[1], name), "rb").read()
             assert a == b
+
+    def test_library_retrain_matches_the_cli(self, pipeline_cfg, capsys):
+        # README's library pipeline and the commands give the same model
+        cfg_path, out = pipeline_cfg
+        for cmd in ("train", "prune", "retrain"):
+            assert main([cmd, "--config", cfg_path, "--out", out]) == 0
+        capsys.readouterr()
+        cli_net, _ = load_checkpoint(os.path.join(out, "retrained.ckpt"))
+
+        cfg = parse_config(FAST_PIPELINE)
+        train, _val, _test, shape, _ = load_dataset(cfg)
+        net = build_network(cfg.arch_defs, shape, seed=cfg.seed)
+        train_network(net, *train, cfg.train, cfg.seed, cfg.train.max_iters)
+        net, _, groups = run_pruning(net, *train, cfg.prune_train, cfg.schedules,
+                                     seed=cfg.seed)
+        _, masks, bias_masks = materialize_reg(net, groups)
+        train_network(net, *train, cfg.retrain, cfg.seed + 1, cfg.retrain_iters,
+                      masks=masks, bias_masks=bias_masks)
+        assert net.iteration == cli_net.iteration
+        for i in net.parametric_indices:
+            assert np.array_equal(net.weights[i], cli_net.weights[i])
+            assert np.array_equal(net.biases[i], cli_net.biases[i])

@@ -29,7 +29,7 @@ from increg.cli import load_dataset, train_network
 from increg.compact import build_plan, count_gflops
 from increg.config import parse_config
 from increg.network import build_network, evaluate
-from increg.scheduler import run_pruning
+from increg.scheduler import materialize_reg, run_pruning
 
 RUN_LONG = os.environ.get("INCREG_RUN_LONG") == "1"
 CIFAR_DIR = os.environ.get("INCREG_CIFAR10_DIR", "")
@@ -83,12 +83,13 @@ def test_half_flops_keeps_accuracy():
 
     net, rep, lgs = run_pruning(
         net, train[0], train[1], cfg.prune_train, cfg.schedules,
-        seed=cfg.seed,
-        retrain_iters=cfg.retrain_iters, retrain_cfg=cfg.retrain,
-        eval_data=test, report_stride=cfg.report_stride,
+        seed=cfg.seed, report_stride=cfg.report_stride,
     )
+    _, masks, bias_masks = materialize_reg(net, lgs)
+    train_network(net, train[0], train[1], cfg.retrain, cfg.seed + 1,
+                  cfg.retrain_iters, masks=masks, bias_masks=bias_masks)
     acct = count_gflops(net, build_plan(net, lgs))
-    pruned_acc = rep.summary["final_accuracy"]
+    pruned_acc, _ = evaluate(net, test[0], test[1])
     print(f"converged at iteration {rep.summary['converged_iteration']}, "
           f"conv FLOPs ratio {acct.conv_ratio:.2f}, "
           f"retrained test accuracy: {pruned_acc:.4f}")

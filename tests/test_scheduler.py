@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from increg.data import batch_iter, make_blobs
+from increg.cli import train_network
+from increg.data import make_blobs
 from increg.network import (
     TrainConfig,
     build_network,
+    evaluate,
     loss_and_grads,
-    lr_at,
     sgd_step,
 )
 from increg.scheduler import (
@@ -574,12 +575,7 @@ class TestRunPruning:
         a = blob_net(seed=21)
         a, _, _ = run_pruning(a, x, y, cfg, [PruneSchedule(ratio=0.0, speed=0.1)],
                               seed=33)
-        b = blob_net(seed=21)
-        stream = batch_iter(x, y, cfg.batch_size, 33)
-        for _ in range(cfg.max_iters):
-            xb, yb = next(stream)
-            _, dw, db = loss_and_grads(b, xb, yb)
-            sgd_step(b, dw, db, cfg, lr=lr_at(cfg, b.iteration))
+        b = train_network(blob_net(seed=21), x, y, cfg, 33, cfg.max_iters)
         for i in a.parametric_indices:
             assert np.array_equal(a.weights[i], b.weights[i])
             assert np.array_equal(a.biases[i], b.biases[i])
@@ -610,7 +606,13 @@ class TestRunPruning:
     def test_retrain_preserves_pruned_zeros(self):
         retrain_cfg = TrainConfig(base_lr=0.01, weight_decay=0.004,
                                   batch_size=32, max_iters=1)
-        net, _, lgs = self.run(retrain_iters=60, retrain_cfg=retrain_cfg)
+        net, _, lgs = self.run()
+        x, y = blob_data()
+        _, masks, bias_masks = materialize_reg(net, lgs)
+        train_network(net, x, y, retrain_cfg, 12, 60,
+                      masks=masks, bias_masks=bias_masks)
+        acc, _ = evaluate(net, x, y)
+        assert acc >= 0.9
         for lg in lgs:
             w = net.weights[lg.layer]
             for g in lg.groups:

@@ -1,24 +1,18 @@
-"""Lowering, im2col/col2im, and GEMM against loop-nest oracles."""
+"""Lowering, im2col/col2im, and the layers' GEMMs against loop-nest oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from increg.network import apply_layer, build_network
 from increg.tensor import (
     ConvGeometry,
     GeometryError,
     ShapeError,
-    col2im,
     col2im_batch,
-    col_index,
     col_map,
-    compact_gemm,
-    gemm,
-    im2col,
     im2col_batch,
-    lower_kernel,
-    raise_kernel,
 )
 
 
@@ -59,6 +53,13 @@ def gemm_loops(a, b):
                 s += float(a[i, t]) * float(b[t, j])
             out[i, j] = s
     return out
+
+
+def conv_net(g, filters):
+    """One conv layer over geometry g, for running the production forward."""
+    defs = [{"kind": "conv", "filters": filters, "kernel": [g.kernel_h, g.kernel_w],
+             "stride": g.stride, "pad": g.pad}, {"kind": "softmax-xent"}]
+    return build_network(defs, (g.in_channels, g.in_h, g.in_w))
 
 
 def random_geometry(rng):
@@ -107,57 +108,33 @@ class TestGeometry:
         assert m[1].tolist() == [0, 0, 1]
         assert m[3].tolist() == [0, 1, 0]
         assert m[6].tolist() == [1, 0, 0]
-        for j in range(g.cols):
-            assert col_index(g, *m[j]) == j
-
-    def test_col_index_bounds(self):
-        g = ConvGeometry(in_channels=2, in_h=4, in_w=4, kernel_h=2, kernel_w=2)
-        with pytest.raises(IndexError):
-            col_index(g, 2, 0, 0)
+        dims = (g.in_channels, g.kernel_h, g.kernel_w)
+        assert np.ravel_multi_index(tuple(m.T), dims).tolist() == list(range(g.cols))
 
 
 class TestLowering:
-    def test_round_trip_bit_exact(self):
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((6, 3, 5, 4)).astype(np.float32)
-        low = lower_kernel(w)
-        assert low.data.shape == (6, 60)
-        back = raise_kernel(low, (6, 3, 5, 4))
-        assert back.tobytes() == w.tobytes()
-
     def test_columns_follow_col_map(self):
+        # the layers lower a kernel by reshape; its columns are col_map's
         rng = np.random.default_rng(1)
         w = rng.standard_normal((2, 3, 2, 2)).astype(np.float32)
-        low = lower_kernel(w)
-        for j, (c, u, v) in enumerate(low.col_map):
-            assert np.array_equal(low.data[:, j], w[:, c, u, v])
-
-    def test_raise_rejects_wrong_dims(self):
-        w = np.zeros((2, 3, 2, 2), dtype=np.float32)
-        low = lower_kernel(w)
-        with pytest.raises(ShapeError):
-            raise_kernel(low, (2, 3, 2, 3))
-
-    def test_validate_flags_bad_col_map(self):
-        w = np.zeros((2, 1, 2, 2), dtype=np.float32)
-        low = lower_kernel(w)
-        low.col_map[1] = low.col_map[0]
-        with pytest.raises(ValueError):
-            low.validate()
+        g = ConvGeometry(in_channels=3, in_h=2, in_w=2, kernel_h=2, kernel_w=2)
+        low = w.reshape(2, g.cols)
+        for j, (c, u, v) in enumerate(col_map(g)):
+            assert np.array_equal(low[:, j], w[:, c, u, v])
 
 
 class TestIm2col:
     def test_identity_kernel_geometry(self):
         # 1x1 kernel: the patch matrix is the flattened image
         g = ConvGeometry(in_channels=2, in_h=3, in_w=3, kernel_h=1, kernel_w=1)
-        x = np.arange(18, dtype=np.float32).reshape(2, 3, 3)
-        cols = im2col(x, g)
+        x = np.arange(18, dtype=np.float32).reshape(1, 2, 3, 3)
+        cols = im2col_batch(x, g)[0]
         assert np.array_equal(cols, x.reshape(2, 9))
 
     def test_manual_3x3_patch(self):
         g = ConvGeometry(in_channels=1, in_h=3, in_w=3, kernel_h=2, kernel_w=2)
-        x = np.arange(9, dtype=np.float32).reshape(1, 3, 3)
-        cols = im2col(x, g)
+        x = np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3)
+        cols = im2col_batch(x, g)[0]
         # position 0 is the top-left window [[0,1],[3,4]]
         assert cols[:, 0].tolist() == [0, 1, 3, 4]
         assert cols[:, 3].tolist() == [4, 5, 7, 8]
@@ -165,8 +142,8 @@ class TestIm2col:
     def test_padding_zeros(self):
         g = ConvGeometry(in_channels=1, in_h=2, in_w=2, kernel_h=2,
                          kernel_w=2, pad=1)
-        x = np.ones((1, 2, 2), dtype=np.float32)
-        cols = im2col(x, g)
+        x = np.ones((1, 1, 2, 2), dtype=np.float32)
+        cols = im2col_batch(x, g)[0]
         assert cols.shape == (4, 9)
         # the first window covers only the padded corner and x[0,0]
         assert cols[:, 0].tolist() == [0, 0, 0, 1]
@@ -176,13 +153,11 @@ class TestIm2col:
         for _ in range(50):
             g = random_geometry(rng)
             f = int(rng.integers(1, 5))
+            net = conv_net(g, f)
             x = rng.standard_normal((2, g.in_channels, g.in_h, g.in_w)).astype(np.float32)
-            w = rng.standard_normal((f, g.in_channels, g.kernel_h, g.kernel_w)).astype(np.float32)
-            b = rng.standard_normal(f).astype(np.float32)
-            cols = im2col_batch(x, g)
-            low = lower_kernel(w)
-            got = np.matmul(low.data, cols) + b[:, None]
-            got = got.reshape(2, f, g.out_h, g.out_w)
+            w = net.weights[0] = rng.standard_normal(net.weights[0].shape).astype(np.float32)
+            b = net.biases[0] = rng.standard_normal(f).astype(np.float32)
+            got, _ = apply_layer(net, 0, x)
             want = conv2d_direct(x, w, b, g.stride, g.pad)
             denom = max(float(np.abs(want).max()), 1e-8)
             assert float(np.abs(got - want).max()) / denom <= 1e-6
@@ -208,7 +183,7 @@ class TestIm2col:
     def test_shape_mismatch(self):
         g = ConvGeometry(in_channels=2, in_h=4, in_w=4, kernel_h=2, kernel_w=2)
         with pytest.raises(GeometryError):
-            im2col(np.zeros((1, 4, 4), dtype=np.float32), g)
+            im2col_batch(np.zeros((1, 1, 4, 4), dtype=np.float32), g)
 
 
 class TestCol2im:
@@ -218,16 +193,16 @@ class TestCol2im:
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = random_geometry(rng)
-            x = rng.standard_normal((g.in_channels, g.in_h, g.in_w))
-            c = rng.standard_normal((g.cols, g.positions))
-            lhs = float(np.sum(im2col(x, g) * c))
-            rhs = float(np.sum(x * col2im(c, g)))
+            x = rng.standard_normal((2, g.in_channels, g.in_h, g.in_w))
+            c = rng.standard_normal((2, g.cols, g.positions))
+            lhs = float(np.sum(im2col_batch(x, g) * c))
+            rhs = float(np.sum(x * col2im_batch(c, g)))
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
     def test_overlap_accumulates(self):
         g = ConvGeometry(in_channels=1, in_h=3, in_w=3, kernel_h=2, kernel_w=2)
-        ones = np.ones((g.cols, g.positions))
-        back = col2im(ones, g)
+        ones = np.ones((1, g.cols, g.positions))
+        back = col2im_batch(ones, g)[0]
         # the center pixel is covered by all four windows
         assert back[0, 1, 1] == 4.0
         assert back[0, 0, 0] == 1.0
@@ -239,58 +214,57 @@ class TestCol2im:
         cols = rng.standard_normal((3, g.cols, g.positions))
         batch = col2im_batch(cols, g)
         for i in range(3):
-            assert np.allclose(batch[i], col2im(cols[i], g))
+            assert np.array_equal(batch[i], col2im_batch(cols[i : i + 1], g)[0])
+
+
+def dense_net(in_features, out_features):
+    return build_network([{"kind": "fc", "out_features": out_features},
+                          {"kind": "softmax-xent"}], (in_features, 1, 1))
 
 
 class TestGemm:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 6)).astype(np.float32)
-        b = rng.standard_normal((6, 5)).astype(np.float32)
-        want = gemm_loops(a, b)
-        got = gemm(a, b)
+        net = dense_net(6, 4)
+        a = net.weights[0] = rng.standard_normal((4, 6)).astype(np.float32)
+        net.biases[0][:] = 0
+        x = rng.standard_normal((5, 6, 1, 1)).astype(np.float32)
+        got, _ = apply_layer(net, 0, x)
+        want = gemm_loops(a, x.reshape(5, 6).T).T
         assert np.abs(got - want).max() <= 1e-5
 
     def test_rejects_mismatch(self):
+        net = dense_net(6, 4)
         with pytest.raises(ShapeError):
-            gemm(np.zeros((2, 3)), np.zeros((4, 2)))
+            apply_layer(net, 0, np.zeros((2, 5, 1, 1), dtype=np.float32))
 
     def test_compact_equals_masked(self):
+        # the compacted conv: kept filters times the kept im2col rows
         rng = np.random.default_rng(13)
-        w = rng.standard_normal((5, 8)).astype(np.float32)
-        low = lower_kernel(w.reshape(5, 2, 2, 2))
+        g = ConvGeometry(in_channels=2, in_h=4, in_w=3, kernel_h=2, kernel_w=2)
+        w = rng.standard_normal((5, g.cols)).astype(np.float32)
         keep_r = np.array([0, 2, 4])
         keep_c = np.array([1, 2, 5, 7])
-        x = rng.standard_normal((8, 6)).astype(np.float32)
-        want = gemm(w, x)[np.ix_(keep_r, range(6))]
-        # zero the dropped columns: identical contribution to kept rows
-        wm = w.copy()
-        drop = [j for j in range(8) if j not in keep_c.tolist()]
-        wm[:, drop] = 0.0
-        want_masked = gemm(wm, x)[keep_r]
-        got = compact_gemm(low, keep_r, keep_c, x[keep_c])
-        assert np.allclose(got, want_masked, atol=1e-6)
-        assert got.shape == (3, 6)
-        del want
-
-    def test_compact_rejects_row_mismatch(self):
-        low = lower_kernel(np.zeros((3, 1, 2, 2), dtype=np.float32))
-        with pytest.raises(ShapeError):
-            compact_gemm(low, np.array([0]), np.array([0, 1]),
-                         np.zeros((3, 4), dtype=np.float32))
+        x = rng.standard_normal((3, 2, 4, 3)).astype(np.float32)
+        got = np.matmul(w[np.ix_(keep_r, keep_c)], im2col_batch(x, g, rows=keep_c))
+        wm = np.zeros_like(w)
+        wm[:, keep_c] = w[:, keep_c]
+        want = np.matmul(wm, im2col_batch(x, g))[:, keep_r]
+        assert np.allclose(got, want, atol=1e-6)
+        assert got.shape == (3, 3, g.positions)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_compact_gemm_any_keep_sets(data):
+def test_compacted_conv_any_keep_sets(data):
     rng = np.random.default_rng(17)
-    w4 = rng.standard_normal((6, 3, 2, 2)).astype(np.float32)
-    low = lower_kernel(w4)
-    x = rng.standard_normal((12, 7)).astype(np.float32)
+    g = ConvGeometry(in_channels=3, in_h=3, in_w=4, kernel_h=2, kernel_w=2)
+    w = rng.standard_normal((6, g.cols)).astype(np.float32)
+    x = rng.standard_normal((2, 3, 3, 4)).astype(np.float32)
     rows = sorted(data.draw(st.sets(st.integers(0, 5), min_size=1, max_size=6)))
     cols = sorted(data.draw(st.sets(st.integers(0, 11), min_size=1, max_size=12)))
     rows = np.array(rows)
     cols = np.array(cols)
-    got = compact_gemm(low, rows, cols, x[cols])
-    want = low.data[np.ix_(rows, cols)] @ x[cols]
+    got = np.matmul(w[np.ix_(rows, cols)], im2col_batch(x, g, rows=cols))
+    want = np.matmul(w[np.ix_(rows, cols)], im2col_batch(x, g)[:, cols])
     assert np.array_equal(got, want)
