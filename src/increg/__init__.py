@@ -7,7 +7,7 @@ are pruned permanently, the survivors are compacted into smaller dense
 matrices, and the resulting speedup is measured, not estimated.
 
 The names below are the pipeline the ``increg`` commands run (see README's
-"Library use") and the errors those commands map to exit codes 2 and 3.
+"Library use") and the errors those commands map to exit codes 2, 3 and 4.
 """
 
 from .checkpoint import CheckpointError
@@ -15,7 +15,7 @@ from .cli import load_dataset, train_network
 from .compact import PlanError, build_plan, compact, count_gflops
 from .config import ConfigError, parse_config
 from .data import DatasetError
-from .network import build_network, evaluate
+from .network import TrainingDiverged, build_network, evaluate
 from .report import ReportError
 from .scheduler import PruneDidNotConverge, ScheduleError, materialize_reg, run_pruning
 from .tensor import GeometryError, ShapeError
@@ -32,6 +32,7 @@ __all__ = [
     "ReportError",
     "ScheduleError",
     "ShapeError",
+    "TrainingDiverged",
     "build_network",
     "build_plan",
     "compact",

@@ -11,12 +11,16 @@ Layout:
 
 The JSON carries the architecture, input shape, iteration, seed, data
 normalization, and optional scheduler state (per-group factors and pruned
-flags), so write -> read -> write is byte-identical.
+flags), so write -> read -> write is byte-identical. A checkpoint is written
+to a temporary file beside its destination and then renamed over it, so a
+reader never sees a half-written file; one holding a NaN or infinite value
+is rejected on read.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -60,14 +64,21 @@ def save_checkpoint(path, net: NetworkState, scheduler: dict | None = None) -> N
         "scheduler": scheduler,
     }
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for i in net.parametric_indices:
-            for arr in (net.weights[i], net.biases[i], net.vel_w[i], net.vel_b[i]):
-                if arr is not None:
-                    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for i in net.parametric_indices:
+                for arr in (net.weights[i], net.biases[i], net.vel_w[i], net.vel_b[i]):
+                    if arr is not None:
+                        f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -102,6 +113,8 @@ def load_checkpoint(path):
         if len(raw) < off + n:
             raise CheckpointError(f"truncated tensor blob at byte {off} in {path}")
         arr = np.frombuffer(raw[off : off + n], dtype="<f4").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite value in the tensor at byte {off} in {path}")
         off += n
         return arr.astype(np.float32, copy=True)
 

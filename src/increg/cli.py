@@ -3,13 +3,15 @@
 Verbs: train, prune, retrain, bench, verify-theorem, report, print-config.
 Every run is deterministic under a fixed config and seed. Exit codes:
 0 success, 1 failed theorem verification, 2 validation error, 3 pruning did
-not reach its targets.
+not reach its targets, 4 training diverged (a NaN or infinite loss in train,
+prune or retrain; nothing is written for that phase).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -28,7 +30,14 @@ from .compact import (
     render_table,
     write_bench_report,
 )
-from .network import build_network, evaluate, loss_and_grads, lr_at, sgd_step
+from .network import (
+    TrainingDiverged,
+    build_network,
+    evaluate,
+    loss_and_grads,
+    lr_at,
+    sgd_step,
+)
 from .tensor import GeometryError, ShapeError
 
 VALIDATION_ERRORS = (
@@ -96,13 +105,14 @@ def _build_net(cfg: cfgmod.RunConfig, input_shape, means):
 
 
 def train_network(net, x, y, cfg, seed, iters, val=None, log_rows=None,
-                  masks=None, bias_masks=None):
+                  masks=None, bias_masks=None, phase="train"):
     """The SGD loop of both train and retrain.
 
     Draws batches from a fresh stream seeded ``seed`` and steps the lr
     schedule from 0, whatever ``net.iteration`` is. ``masks``/``bias_masks``
     (from :func:`scheduler.materialize_reg`) pin pruned weights at zero.
-    Logs one row per epoch when a sink is given.
+    Logs one row per epoch when a sink is given. Raises TrainingDiverged,
+    naming ``phase``, at the first non-finite loss.
     """
     stream = datamod.batch_iter(x, y, cfg.batch_size, seed)
     per_epoch = max(len(x) // cfg.batch_size, 1)
@@ -110,6 +120,8 @@ def train_network(net, x, y, cfg, seed, iters, val=None, log_rows=None,
     for k in range(iters):
         xb, yb = next(stream)
         loss, dw, db = loss_and_grads(net, xb, yb)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(phase, net.iteration, loss)
         lr = lr_at(cfg, k)
         sgd_step(net, dw, db, cfg, lr=lr, masks=masks, bias_masks=bias_masks)
         loss_acc += loss
@@ -146,7 +158,7 @@ def _fit_and_save(cfg, net, train, val, tcfg, seed, iters, verb, ckpt_name,
     os.makedirs(cfg.out, exist_ok=True)
     rows: list[dict] = []
     train_network(net, train[0], train[1], tcfg, seed, iters, val=val,
-                  log_rows=rows, masks=masks, bias_masks=bias_masks)
+                  log_rows=rows, masks=masks, bias_masks=bias_masks, phase=verb)
     _write_log(rows, os.path.join(cfg.out, f"{verb}_log.csv"))
     path = os.path.join(cfg.out, ckpt_name)
     ckpt.save_checkpoint(path, net, scheduler=scheduler)
@@ -360,6 +372,9 @@ def main(argv=None) -> int:
     except sched.PruneDidNotConverge as e:
         print(f"pruning did not converge: {e}", file=sys.stderr)
         return 3
+    except TrainingDiverged as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .network import NetworkState, apply_layer
 from .scheduler import LayerGroups
-from .tensor import ConvGeometry, ShapeError, im2col_batch
+from .tensor import ConvGeometry, ShapeError, im2col_batch, maxpool2x2
 
 
 class PlanError(ValueError):
@@ -191,8 +191,7 @@ class CompactNetwork:
         if kind == "relu":
             return np.maximum(x, 0)
         if kind == "maxpool":
-            b, c, h, w = x.shape
-            return x.reshape(b, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+            return maxpool2x2(x)
         if kind == "fc":
             y = x.reshape(x.shape[0], -1) @ e.weight.T
             if e.bias is not None:
@@ -350,11 +349,13 @@ def bench(
     seed: int = 0,
     flops: FlopsAccount | None = None,
 ) -> dict:
-    """Median/mean wall time per forward pass for both networks.
+    """Median, IQR and mean wall time per forward pass for both networks.
 
-    Layer rows carry FLOP counts when an account is supplied. Times come
-    from a monotonic clock; the report records enough machine metadata to
-    interpret the (machine-dependent) ratios later.
+    Each repeat times one masked and then one compacted forward, so drift
+    in the host's speed reaches both sides alike. Layer rows carry FLOP
+    counts when an account is supplied. Times come from a monotonic clock;
+    the report records enough machine metadata to interpret the
+    (machine-dependent) ratios later.
     """
     if repeats < 10:
         raise ValueError(f"repeats must be >= 10, got {repeats}")
@@ -363,26 +364,31 @@ def bench(
     for _ in range(warmup):
         _timed_forward_full(net, x)
         _timed_forward_compact(cnet, x)
-    base = np.array([_timed_forward_full(net, x) for _ in range(repeats)])
-    pruned = np.array([_timed_forward_compact(cnet, x) for _ in range(repeats)])
+    base, pruned = [], []
+    for _ in range(repeats):
+        base.append(_timed_forward_full(net, x))
+        pruned.append(_timed_forward_compact(cnet, x))
+    base, pruned = np.array(base), np.array(pruned)
 
-    def stats(samples: np.ndarray) -> tuple[float, float]:
-        return float(np.median(samples) * 1e3), float(samples.mean() * 1e3)
+    def stats(samples: np.ndarray, side: str) -> dict:
+        q1, med, q3 = np.percentile(samples, [25, 50, 75]) * 1e3
+        return {f"ms_{side}": float(med), f"ms_{side}_iqr": float(q3 - q1),
+                f"ms_{side}_mean": float(samples.mean() * 1e3)}
+
+    def timing(b: np.ndarray, p: np.ndarray) -> dict:
+        row = {**stats(b, "base"), **stats(p, "pruned")}
+        mb, mp = row["ms_base"], row["ms_pruned"]
+        row["ratio"] = mb / mp if mp > 0 else float("inf")
+        return row
 
     layers = []
     for i, spec in enumerate(net.layers):
-        mb, ab = stats(base[:, i])
-        mp, ap = stats(pruned[:, i])
         row = {
             "layer": i,
             "kind": spec.kind,
             "flops_base": 0,
             "flops_pruned": 0,
-            "ms_base": mb,
-            "ms_base_mean": ab,
-            "ms_pruned": mp,
-            "ms_pruned_mean": ap,
-            "ratio": mb / mp if mp > 0 else float("inf"),
+            **timing(base[:, i], pruned[:, i]),
         }
         if flops is not None and spec.kind in ("conv", "fc"):
             f = flops.layer(i)
@@ -392,15 +398,7 @@ def bench(
 
     def totals(mask) -> dict:
         cols = [i for i, spec in enumerate(net.layers) if mask(spec.kind)]
-        tb = base[:, cols].sum(axis=1)
-        tp = pruned[:, cols].sum(axis=1)
-        mb, ab = stats(tb)
-        mp, ap = stats(tp)
-        return {
-            "ms_base": mb, "ms_base_mean": ab,
-            "ms_pruned": mp, "ms_pruned_mean": ap,
-            "ratio": mb / mp if mp > 0 else float("inf"),
-        }
+        return timing(base[:, cols].sum(axis=1), pruned[:, cols].sum(axis=1))
 
     report = {
         "layers": layers,

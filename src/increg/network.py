@@ -12,9 +12,27 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor import ConvGeometry, GeometryError, ShapeError, im2col_batch, col2im_batch
+from .tensor import (
+    ConvGeometry,
+    GeometryError,
+    ShapeError,
+    col2im_batch,
+    im2col_batch,
+    maxpool2x2,
+    maxpool2x2_backward,
+)
 
 LAYER_KINDS = ("conv", "relu", "maxpool", "fc", "softmax-xent")
+
+
+class TrainingDiverged(RuntimeError):
+    """A training loss came out NaN or infinite, so the weights are lost."""
+
+    def __init__(self, phase: str, iteration: int, loss: float):
+        super().__init__(f"{phase} diverged at iteration {iteration}: loss is {loss!r}")
+        self.phase = phase
+        self.iteration = iteration
+        self.loss = loss
 
 
 @dataclass
@@ -244,12 +262,8 @@ def apply_layer(net: NetworkState, i: int, x: np.ndarray):
     if spec.kind == "relu":
         return np.maximum(x, 0), ("relu", x > 0)
     if spec.kind == "maxpool":
-        b, c, h, w = x.shape
-        win = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        win = win.reshape(b, c, h // 2, w // 2, 4)
-        arg = win.argmax(axis=-1)                       # first max wins ties
-        y = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-        return y, ("maxpool", arg, x.shape)
+        y = maxpool2x2(x)
+        return y, ("maxpool", x, y)
     if spec.kind == "fc":
         flat = x.reshape(x.shape[0], -1)
         if flat.shape[1] != spec.in_features:
@@ -310,7 +324,8 @@ def layer_backward(net: NetworkState, i: int, cache, dy: np.ndarray, need_dx: bo
         cols = cache[1]
         b, _, _ = cols.shape
         dym = dy.reshape(b, spec.filters, g.positions)
-        dw = np.einsum("bnp,bkp->nk", dym, cols).reshape(net.weights[i].shape)
+        # one GEMM over the batch and position axes together
+        dw = np.tensordot(dym, cols, axes=([0, 2], [0, 2])).reshape(net.weights[i].shape)
         db = dym.sum(axis=(0, 2)) if net.biases[i] is not None else None
         dx = None
         if need_dx:
@@ -322,12 +337,7 @@ def layer_backward(net: NetworkState, i: int, cache, dy: np.ndarray, need_dx: bo
         mask = cache[1]
         return dy * mask, None, None
     if spec.kind == "maxpool":
-        arg, in_shape = cache[1], cache[2]
-        b, c, h, w = in_shape
-        dwin = np.zeros((b, c, h // 2, w // 2, 4), dtype=dy.dtype)
-        np.put_along_axis(dwin, arg[..., None], dy[..., None], axis=-1)
-        dx = dwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return np.ascontiguousarray(dx.reshape(in_shape)), None, None
+        return maxpool2x2_backward(dy, cache[1], cache[2]), None, None
     if spec.kind == "fc":
         flat, in_shape = cache[1], cache[2]
         dw = dy.T @ flat

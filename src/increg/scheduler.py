@@ -19,7 +19,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import batch_iter
-from .network import NetworkState, TrainConfig, evaluate, loss_and_grads, lr_at, sgd_step
+from .network import (
+    NetworkState,
+    TrainConfig,
+    TrainingDiverged,
+    evaluate,
+    loss_and_grads,
+    lr_at,
+    sgd_step,
+)
 from .report import PruneReport
 
 log = logging.getLogger(__name__)
@@ -403,7 +411,8 @@ def run_pruning(
     target its surviving factors are stepped back to zero. The factor
     machinery going quiet does not stop training: all cfg.max_iters
     iterations run, so a zero-ratio schedule reproduces plain training
-    bitwise. Raises PruneDidNotConverge if any layer misses its target.
+    bitwise. Raises PruneDidNotConverge if any layer misses its target,
+    and TrainingDiverged at the first non-finite loss.
 
     report_stride thins the report to every Nth update step (the first and
     final states are always recorded); it does not change the schedule.
@@ -457,7 +466,9 @@ def run_pruning(
             _snapshot(rows, t, snap, inst)
         reg, masks, bias_masks = materialize_reg(net, layer_groups)
         xb, yb = next(stream)
-        _, dw, db = loss_and_grads(net, xb, yb)
+        loss, dw, db = loss_and_grads(net, xb, yb)
+        if not math.isfinite(loss):
+            raise TrainingDiverged("prune", t, loss)
         sgd_step(net, dw, db, cfg, lr=lr_at(cfg, t), reg=reg,
                  masks=masks, bias_masks=bias_masks)
 

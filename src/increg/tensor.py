@@ -8,10 +8,14 @@ Conventions used throughout the package:
 * the lowered view of a kernel is the ``(filters, channels*kernel_h*kernel_w)``
   matrix whose columns walk ``(channel, kernel_row, kernel_col)`` in row-major
   order, so lowering is a plain ``reshape`` and round-trips bit-for-bit.
+
+The 2x2/2 max pool shared by the masked and the compacted networks lives
+here too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,28 +96,35 @@ def im2col_batch(
     p = geom.pad
     if p:
         x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(x, (geom.kernel_h, geom.kernel_w), axis=(2, 3))
-    win = win[:, :, :: geom.stride, :: geom.stride]          # (B, C, Ho, Wo, kh, kw)
     b = x.shape[0]
     if rows is None:
+        win = sliding_window_view(x, (geom.kernel_h, geom.kernel_w), axis=(2, 3))
+        win = win[:, :, :: geom.stride, :: geom.stride]      # (B, C, Ho, Wo, kh, kw)
         cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, geom.cols, geom.positions)
         return np.ascontiguousarray(cols)
-    # subset path: gather only the requested rows so work scales with them
+    # subset path: gather only the requested rows so work scales with them,
+    # through the index table that col2im scatters with
     rows = _check_index_set(rows, geom.cols, "rows")
-    cm = col_map(geom)[rows]
-    sub = win.transpose(0, 1, 4, 5, 2, 3)[:, cm[:, 0], cm[:, 1], cm[:, 2]]
-    return np.ascontiguousarray(sub.reshape(b, len(rows), geom.positions))
+    idx = _scatter_indices(geom).reshape(geom.cols, geom.positions)[rows]
+    return np.take(x.reshape(b, -1), idx, axis=1)
 
 
+@functools.lru_cache(maxsize=64)
 def _scatter_indices(geom: ConvGeometry) -> np.ndarray:
-    """Flat indices into the padded image for every (col, position) entry."""
+    """Flat indices into the padded image for every (col, position) entry.
+
+    Raveled and read-only: one array per geometry is cached and shared by
+    col2im and by im2col's row-subset path.
+    """
     hp = geom.in_h + 2 * geom.pad
     wp = geom.in_w + 2 * geom.pad
     cm = col_map(geom)
     oh, ow = np.unravel_index(np.arange(geom.positions), (geom.out_h, geom.out_w))
     rows_h = oh[None, :] * geom.stride + cm[:, 1][:, None]   # (cols, positions)
     rows_w = ow[None, :] * geom.stride + cm[:, 2][:, None]
-    return (cm[:, 0][:, None] * hp + rows_h) * wp + rows_w
+    idx = ((cm[:, 0][:, None] * hp + rows_h) * wp + rows_w).ravel()
+    idx.flags.writeable = False
+    return idx
 
 
 def col2im_batch(cols: np.ndarray, geom: ConvGeometry) -> np.ndarray:
@@ -123,7 +134,7 @@ def col2im_batch(cols: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     hp = geom.in_h + 2 * geom.pad
     wp = geom.in_w + 2 * geom.pad
     size = geom.in_channels * hp * wp
-    idx = _scatter_indices(geom).ravel()
+    idx = _scatter_indices(geom)
     out = np.empty((b, geom.in_channels, hp, wp), dtype=cols.dtype)
     for i in range(b):
         # bincount gives a fast deterministic scatter-add (stride overlaps sum)
@@ -133,6 +144,30 @@ def col2im_batch(cols: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     if p:
         out = out[:, :, p:-p, p:-p]
     return np.ascontiguousarray(out)
+
+
+def maxpool2x2(x: np.ndarray) -> np.ndarray:
+    """2x2 max pool with stride 2: (B, C, H, W) -> (B, C, H/2, W/2), H and W even."""
+    return np.maximum(np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
+                      np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]))
+
+
+def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`maxpool2x2` at input ``x`` with output ``y``.
+
+    Each window's gradient goes to its first maximum in row-major order, as
+    ``argmax`` over the flattened window would pick; the other three
+    entries get exactly zero.
+    """
+    dx = np.empty_like(x, dtype=dy.dtype)
+    taken = np.zeros(y.shape, dtype=bool)            # windows already routed
+    for i in (0, 1):
+        for j in (0, 1):
+            hit = x[:, :, i::2, j::2] == y
+            hit &= ~taken
+            taken |= hit
+            dx[:, :, i::2, j::2] = np.where(hit, dy, 0)
+    return dx
 
 
 def _check_index_set(indices, limit: int, name: str) -> np.ndarray:

@@ -116,3 +116,26 @@ class TestCorruption:
         net = build_network(DEFS, (1, 6, 6), seed=0, dtype=np.float64)
         with pytest.raises(CheckpointError):
             save_checkpoint(tmp_path / "d.ckpt", net)
+
+    def test_rejects_non_finite_tensor(self, tmp_path):
+        net = trained_net()
+        net.vel_w[0].flat[3] = np.nan
+        p = tmp_path / "n.ckpt"
+        save_checkpoint(p, net)
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(p)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        net = trained_net()
+        p = tmp_path / "a.ckpt"
+        save_checkpoint(p, net)
+        before = p.read_bytes()
+        broken = trained_net(seed=1)
+        # the last blob cannot be converted, so the write fails mid-file
+        broken.vel_b[4] = np.array(["x"] * 3)
+        with pytest.raises(ValueError):
+            save_checkpoint(p, broken)
+        assert p.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.ckpt"]

@@ -284,8 +284,9 @@ class TestBench:
         net, cnet, acct = self.make()
         rep = bench(net, cnet, batch=4, repeats=10, warmup=1, flops=acct)
         assert len(rep["layers"]) == len(net.layers)
-        for row in rep["layers"]:
+        for row in (*rep["layers"], rep["total"], rep["conv_total"]):
             assert row["ms_base"] >= 0.0 and row["ms_pruned"] >= 0.0
+            assert row["ms_base_iqr"] >= 0.0 and row["ms_pruned_iqr"] >= 0.0
         for key in ("total", "conv_total"):
             assert rep[key]["ms_base"] > 0.0
             assert rep[key]["ratio"] > 0.0
@@ -293,6 +294,23 @@ class TestBench:
         assert meta["batch"] == 4 and meta["repeats"] == 10
         assert meta["platform"] and meta["numpy"]
         assert rep["flops"]["conv_ratio"] == acct.conv_ratio
+
+    def test_timed_forwards_alternate(self, monkeypatch):
+        import importlib
+
+        # the package re-exports the function compact(), which shadows the
+        # module name as an attribute
+        compact_mod = importlib.import_module("increg.compact")
+        net, cnet, _ = self.make()
+        calls = []
+        for name, tag in (("_timed_forward_full", "masked"),
+                          ("_timed_forward_compact", "compact")):
+            real = getattr(compact_mod, name)
+            monkeypatch.setattr(compact_mod, name,
+                                lambda n, x, real=real, tag=tag:
+                                calls.append(tag) or real(n, x))
+        bench(net, cnet, batch=2, repeats=10, warmup=0)
+        assert calls == ["masked", "compact"] * 10
 
     def test_report_round_trips_as_json(self, tmp_path):
         import json

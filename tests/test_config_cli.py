@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from increg.checkpoint import load_checkpoint
+from increg.checkpoint import load_checkpoint, save_checkpoint
 from increg.cli import load_dataset, main, train_network
 from increg.config import (
     ConfigError,
@@ -289,6 +289,29 @@ class TestCli:
             open(os.path.join(out, "prune_summary.json")).read())
         assert summary["converged_iteration"] is None
         assert os.path.exists(os.path.join(out, "prune_report.csv"))
+
+    def test_diverging_train_is_exit_4(self, tmp_path, capsys):
+        user = yaml.safe_load(yaml.safe_dump(FAST_PIPELINE))
+        user["train"]["base_lr"] = 50.0
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(user))
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 4
+        assert "train diverged at iteration" in capsys.readouterr().err
+        assert not (out / "baseline.ckpt").exists()
+
+    def test_non_finite_checkpoint_is_exit_2(self, pipeline_cfg, capsys):
+        cfg_path, out = pipeline_cfg
+        assert main(["train", "--config", cfg_path, "--out", out]) == 0
+        path = os.path.join(out, "baseline.ckpt")
+        net, _ = load_checkpoint(path)
+        net.weights[0].flat[0] = np.inf
+        save_checkpoint(path, net)
+        capsys.readouterr()
+        assert main(["prune", "--config", cfg_path, "--out", out]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_retrain_needs_scheduler_state(self, pipeline_cfg, capsys):
         cfg_path, out = pipeline_cfg

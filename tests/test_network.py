@@ -11,6 +11,7 @@ from increg.network import (
     build_network,
     evaluate,
     forward,
+    layer_backward,
     loss_and_grads,
     lr_at,
     predict,
@@ -130,13 +131,14 @@ class TestGradients:
         net.weights[1][:] = np.array([[1.0], [-1.0]])
         x = np.full((1, 1, 2, 2), 7.0)
         logits, caches = forward(net, x)
-        _, dlogits = softmax_xent(logits, np.array([0]))
-        from increg.network import backward
-        backward(net, caches, dlogits)
-        # route the pooled gradient to the first flattened window entry
-        # (row-major): only x[0,0] would receive it; verify via input FD on
-        # the fc weight instead, which sees the pooled value 7
         assert caches[1][1].ravel().tolist() == [7.0]
+        _, dlogits = softmax_xent(logits, np.array([0]))
+        dpool, _, _ = layer_backward(net, 1, caches[1], dlogits, need_dx=True)
+        dx, _, _ = layer_backward(net, 0, caches[0], dpool, need_dx=True)
+        # all four entries tie; the first in row-major order takes it all
+        g = float(dpool.ravel()[0])
+        assert g != 0.0
+        assert dx[0, 0].tolist() == [[g, 0.0], [0.0, 0.0]]
 
     def test_grad_shapes_match_params(self):
         net = build_network(TINY_DEFS, TINY_SHAPE, seed=4, dtype=np.float64)

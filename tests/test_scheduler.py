@@ -9,6 +9,7 @@ from increg.cli import train_network
 from increg.data import make_blobs
 from increg.network import (
     TrainConfig,
+    TrainingDiverged,
     build_network,
     evaluate,
     loss_and_grads,
@@ -620,6 +621,21 @@ class TestRunPruning:
                     assert np.all(w.flat[g.members] == 0.0)
                 else:
                     assert np.abs(w.flat[g.members]).sum() > 0
+
+    def test_unstable_factors_raise_well_before_the_budget(self):
+        # lr * lambda must stay below 2 * (1 + momentum) = 3.8 for momentum
+        # SGD to be stable; speed 100 at lr 0.05 crosses it on the second
+        # update and keeps growing
+        net = blob_net()
+        x, y = blob_data()
+        cfg = TrainConfig(base_lr=0.05, weight_decay=0.0, batch_size=32,
+                          max_iters=1200)
+        sch = PruneSchedule(ratio=0.5, speed=100.0, update_interval=2)
+        with pytest.raises(TrainingDiverged) as e, np.errstate(all="ignore"):
+            run_pruning(net, x, y, cfg, [sch], seed=11)
+        assert e.value.phase == "prune"
+        assert e.value.iteration < 200
+        assert f"prune diverged at iteration {e.value.iteration}" in str(e.value)
 
     def test_bad_report_stride_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from increg.network import apply_layer, build_network
+from increg.network import apply_layer, build_network, layer_backward
 from increg.tensor import (
     ConvGeometry,
     GeometryError,
@@ -13,6 +13,8 @@ from increg.tensor import (
     col2im_batch,
     col_map,
     im2col_batch,
+    maxpool2x2,
+    maxpool2x2_backward,
 )
 
 
@@ -55,11 +57,31 @@ def gemm_loops(a, b):
     return out
 
 
-def conv_net(g, filters):
+def conv_net(g, filters, dtype=np.float32):
     """One conv layer over geometry g, for running the production forward."""
     defs = [{"kind": "conv", "filters": filters, "kernel": [g.kernel_h, g.kernel_w],
              "stride": g.stride, "pad": g.pad}, {"kind": "softmax-xent"}]
-    return build_network(defs, (g.in_channels, g.in_h, g.in_w))
+    return build_network(defs, (g.in_channels, g.in_h, g.in_w), dtype=dtype)
+
+
+def maxpool_loops(x, dy):
+    """2x2/2 max pool and its gradient by loops; ties go to the first
+    maximum in row-major window order."""
+    b, c, h, w = x.shape
+    y = np.zeros((b, c, h // 2, w // 2), dtype=x.dtype)
+    dx = np.zeros_like(x)
+    for n in range(b):
+        for ch in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    window = [(2 * i + u, 2 * j + v) for u in (0, 1) for v in (0, 1)]
+                    best = window[0]
+                    for pos in window[1:]:
+                        if x[n, ch][pos] > x[n, ch][best]:
+                            best = pos
+                    y[n, ch, i, j] = x[n, ch][best]
+                    dx[n, ch][best] = dy[n, ch, i, j]
+    return y, dx
 
 
 def random_geometry(rng):
@@ -207,6 +229,22 @@ class TestCol2im:
         assert back[0, 1, 1] == 4.0
         assert back[0, 0, 0] == 1.0
 
+    def test_alternating_geometries_stay_adjoint(self):
+        # scatter indices are cached per geometry; switching back and forth
+        # must keep each layer's own indices
+        rng = np.random.default_rng(21)
+        g1 = ConvGeometry(in_channels=2, in_h=6, in_w=5, kernel_h=3,
+                          kernel_w=2, stride=2, pad=1)
+        g2 = ConvGeometry(in_channels=3, in_h=4, in_w=4, kernel_h=2, kernel_w=2)
+        for g in (g1, g2, g1, g2, g1):
+            x = rng.standard_normal((3, g.in_channels, g.in_h, g.in_w))
+            c = rng.standard_normal((3, g.cols, g.positions))
+            back = col2im_batch(c, g)
+            assert back.shape == x.shape
+            lhs = float(np.sum(im2col_batch(x, g) * c))
+            rhs = float(np.sum(x * back))
+            assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(9)
         g = ConvGeometry(in_channels=2, in_h=5, in_w=4, kernel_h=3,
@@ -215,6 +253,43 @@ class TestCol2im:
         batch = col2im_batch(cols, g)
         for i in range(3):
             assert np.array_equal(batch[i], col2im_batch(cols[i : i + 1], g)[0])
+
+
+class TestConvWeightGradient:
+    def test_gemm_matches_float64_einsum_50_geometries(self):
+        # criterion 4's conv oracle form and tolerance, on the backward
+        rng = np.random.default_rng(8)
+        for dtype in (np.float64, np.float32):
+            worst = 0.0
+            for _ in range(50):
+                g = random_geometry(rng)
+                filters = int(rng.integers(1, 5))
+                net = conv_net(g, filters, dtype=dtype)
+                x = rng.standard_normal((4, g.in_channels, g.in_h, g.in_w)).astype(dtype)
+                y, cache = apply_layer(net, 0, x)
+                dy = rng.standard_normal(y.shape).astype(dtype)
+                _, dw, _ = layer_backward(net, 0, cache, dy, need_dx=False)
+                want = np.einsum("bnp,bkp->nk",
+                                 dy.reshape(4, filters, g.positions).astype(np.float64),
+                                 im2col_batch(x.astype(np.float64), g))
+                got = dw.reshape(filters, g.cols)
+                assert dw.dtype == dtype
+                rel = np.abs(got - want).max() / max(1.0, np.abs(want).max())
+                worst = max(worst, float(rel))
+            assert worst <= 1e-6, (dtype, worst)
+
+
+class TestMaxPool:
+    def test_matches_loop_oracle_with_ties(self):
+        rng = np.random.default_rng(4)
+        for shape in ((2, 3, 4, 6), (1, 2, 2, 2), (3, 1, 8, 4)):
+            # small integers force ties inside most windows
+            x = rng.integers(-2, 3, size=shape).astype(np.float32)
+            y = maxpool2x2(x)
+            dy = rng.standard_normal(y.shape).astype(np.float32)
+            want_y, want_dx = maxpool_loops(x, dy)
+            assert y.tobytes() == want_y.tobytes()
+            assert maxpool2x2_backward(dy, x, y).tobytes() == want_dx.tobytes()
 
 
 def dense_net(in_features, out_features):
