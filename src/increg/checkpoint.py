@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .network import LayerSpec, NetworkState, resolve_layers
+from .network import NetworkState, layer_def, resolve_layers
 
 MAGIC = b"INCREG01"
 
@@ -34,29 +34,13 @@ class CheckpointError(ValueError):
     """File is not a valid checkpoint."""
 
 
-def _layer_def(spec: LayerSpec) -> dict:
-    if spec.kind == "conv":
-        return {
-            "kind": "conv",
-            "filters": spec.filters,
-            "kernel": [spec.geom.kernel_h, spec.geom.kernel_w],
-            "stride": spec.geom.stride,
-            "pad": spec.geom.pad,
-            "bias": spec.use_bias,
-            "prune_exempt": spec.prune_exempt,
-        }
-    if spec.kind == "fc":
-        return {"kind": "fc", "out_features": spec.out_features, "bias": spec.use_bias}
-    return {"kind": spec.kind}
-
-
 def save_checkpoint(path, net: NetworkState, scheduler: dict | None = None) -> None:
     """Write a checkpoint; only float32 networks are storable."""
     if net.dtype != np.dtype(np.float32):
         raise CheckpointError(f"checkpoints store float32 networks, got {net.dtype}")
     meta = {
         "format": MAGIC.decode(),
-        "layers": [_layer_def(l) for l in net.layers],
+        "layers": [layer_def(l) for l in net.layers],
         "input_shape": list(net.input_shape),
         "iteration": net.iteration,
         "seed": net.rng_seed,

@@ -4,8 +4,10 @@ A plan is built from the scheduler's group state and propagated along the
 sequential chain: a pruned filter (row) drops its column block from the next
 conv and its slice from the fc input; a pruned input channel additionally
 retires the producing filter upstream; pruned columns stay local to their
-layer. The compacted network stores conv kernels directly in lowered form
-so arbitrary column subsets remain dense.
+layer. The compacted network is an ordinary ``NetworkState`` of the kept
+weights, run by ``network.apply_layer``: a conv that lost columns keeps its
+kernel as a lowered matrix and lowers only the input rows those columns
+read (``LayerSpec.keep_cols``), so arbitrary column subsets remain dense.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkState, apply_layer
+from .network import NetworkState, apply_layer, input_batch, layer_def, resolve_layers
 from .scheduler import LayerGroups
-from .tensor import ConvGeometry, ShapeError, im2col_batch, maxpool2x2
 
 
 class PlanError(ValueError):
@@ -28,24 +29,14 @@ class PlanError(ValueError):
 
 @dataclass
 class ConvPlan:
-    """Kept indices for one conv layer.
+    """Kept filters and kept lowered columns of one conv, in its original indices."""
 
-    keep_cols is in the original lowered column space; keep_cols_new is the
-    same set renumbered to the compacted input channels, or None when every
-    column of the arriving channels survives.
-    """
-
-    layer: int
     keep_rows: np.ndarray
     keep_cols: np.ndarray
-    keep_cols_new: np.ndarray | None
-    in_channels: np.ndarray
-    geom: ConvGeometry
 
 
 @dataclass
 class FcPlan:
-    layer: int
     keep_in: np.ndarray
 
 
@@ -53,16 +44,6 @@ class FcPlan:
 class CompactPlan:
     conv: dict[int, ConvPlan] = field(default_factory=dict)
     fc: dict[int, FcPlan] = field(default_factory=dict)
-    input_channels: np.ndarray | None = None
-
-    def is_identity(self, net: NetworkState) -> bool:
-        if self.input_channels is not None:
-            return False
-        for i, cp in self.conv.items():
-            spec = net.layers[i]
-            if len(cp.keep_rows) != spec.filters or len(cp.keep_cols) != spec.geom.cols:
-                return False
-        return not self.fc
 
 
 def _pruned_sets(net: NetworkState, layer_groups: list[LayerGroups]):
@@ -103,10 +84,7 @@ def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> CompactPla
         g = spec.geom
         block = g.kernel_h * g.kernel_w
         if pos == 0:
-            dead_in = pruned_ch.get(l, set())
-            ch = np.array(sorted(set(range(g.in_channels)) - dead_in), dtype=np.intp)
-            if dead_in:
-                plan.input_channels = ch
+            ch = sorted(set(range(g.in_channels)) - pruned_ch.get(l, set()))
         else:
             ch = prev_keep_rows
             if len(ch) == 0 or ch.max() >= g.in_channels:
@@ -117,27 +95,12 @@ def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> CompactPla
         if len(keep_rows) == 0:
             raise PlanError(f"layer {l}: every filter pruned, nothing to keep")
         gone_cols = pruned_cols.get(l, set())
-        keep_cols, keep_cols_new = [], []
-        for new_c, c in enumerate(ch):
-            for j in range(block):
-                if int(c) * block + j not in gone_cols:
-                    keep_cols.append(int(c) * block + j)
-                    keep_cols_new.append(new_c * block + j)
+        keep_cols = [int(c) * block + j for c in ch for j in range(block)
+                     if int(c) * block + j not in gone_cols]
         if not keep_cols:
             raise PlanError(f"layer {l}: every column pruned, nothing to keep")
-        geom_new = ConvGeometry(
-            in_channels=len(ch), in_h=g.in_h, in_w=g.in_w,
-            kernel_h=g.kernel_h, kernel_w=g.kernel_w, stride=g.stride, pad=g.pad,
-        )
-        full = len(keep_cols) == len(ch) * block
-        plan.conv[l] = ConvPlan(
-            layer=l,
-            keep_rows=keep_rows,
-            keep_cols=np.array(keep_cols, dtype=np.intp),
-            keep_cols_new=None if full else np.array(keep_cols_new, dtype=np.intp),
-            in_channels=np.asarray(ch, dtype=np.intp),
-            geom=geom_new,
-        )
+        plan.conv[l] = ConvPlan(keep_rows=keep_rows,
+                                keep_cols=np.array(keep_cols, dtype=np.intp))
         prev_keep_rows = keep_rows
     if convs and prev_keep_rows is not None and len(prev_keep_rows) < net.layers[convs[-1]].filters:
         last = convs[-1]
@@ -145,103 +108,76 @@ def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> CompactPla
             if spec.kind == "fc" and i > last:
                 hw = spec.in_features // net.layers[last].filters
                 keep_in = (prev_keep_rows[:, None] * hw + np.arange(hw)).ravel()
-                plan.fc[i] = FcPlan(layer=i, keep_in=keep_in)
+                plan.fc[i] = FcPlan(keep_in=keep_in)
                 break
     return plan
 
 
-@dataclass
-class CompactConv:
-    geom: ConvGeometry
-    weight: np.ndarray                 # (kept filters, kept columns), lowered
-    bias: np.ndarray | None
-    keep_cols: np.ndarray | None       # in the compact lowered space; None = all
+class CompactNetwork(NetworkState):
+    """A network of the kept weights, which ``network.apply_layer`` runs.
 
+    The methods are the per-pass and per-layer hooks that :func:`bench`
+    times; they hold no layer math of their own.
+    """
 
-@dataclass
-class CompactFc:
-    weight: np.ndarray
-    bias: np.ndarray | None
+    @property
+    def kinds(self) -> list[str]:
+        return [spec.kind for spec in self.layers]
 
-
-@dataclass
-class CompactNetwork:
-    """A chain whose conv kernels live as lowered matrices; forward only."""
-
-    kinds: list[str]
-    entries: list
-    input_shape: tuple[int, int, int]
-    input_channels: np.ndarray | None = None
-
-    def param_count(self) -> int:
-        total = 0
-        for e in self.entries:
-            if isinstance(e, (CompactConv, CompactFc)):
-                total += e.weight.size + (0 if e.bias is None else e.bias.size)
-        return total
+    def prepare_input(self, x: np.ndarray) -> np.ndarray:
+        return input_batch(self, x)
 
     def apply_layer(self, i: int, x: np.ndarray) -> np.ndarray:
-        kind, e = self.kinds[i], self.entries[i]
-        if kind == "conv":
-            cols = im2col_batch(x, e.geom, rows=e.keep_cols)
-            y = np.matmul(e.weight, cols)
-            if e.bias is not None:
-                y += e.bias[:, None]
-            return y.reshape(x.shape[0], e.weight.shape[0], e.geom.out_h, e.geom.out_w)
-        if kind == "relu":
-            return np.maximum(x, 0)
-        if kind == "maxpool":
-            return maxpool2x2(x)
-        if kind == "fc":
-            y = x.reshape(x.shape[0], -1) @ e.weight.T
-            if e.bias is not None:
-                y += e.bias
-            return y
-        return x
+        return apply_layer(self, i, x)[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = self.prepare_input(x)
-        for i in range(len(self.kinds)):
+        for i in range(len(self.layers)):
             x = self.apply_layer(i, x)
-        return x if x.ndim == 2 else x.reshape(x.shape[0], -1)
-
-    def prepare_input(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1:] != self.input_shape:
-            raise ShapeError(
-                f"batch shape {x.shape} does not match input shape {self.input_shape}"
-            )
-        if self.input_channels is not None:
-            x = np.ascontiguousarray(x[:, self.input_channels])
-        return x
+        return x.reshape(x.shape[0], -1)
 
 
 def compact(net: NetworkState, plan: CompactPlan) -> CompactNetwork:
-    """Materialize the plan; kept weights are copied bit-for-bit."""
-    kinds: list[str] = []
-    entries: list = []
-    for i, spec in enumerate(net.layers):
-        kinds.append(spec.kind)
+    """Materialize the plan; kept weights are copied bit-for-bit.
+
+    The layers are resolved again on the kept filter counts, which gives
+    every later conv and the fc their shrunk inputs. The first conv keeps
+    the full input; like any conv that lost columns, it gets ``keep_cols``,
+    its kept columns renumbered to the channels that reach it.
+    """
+    defs = [layer_def(spec) for spec in net.layers]
+    for i in net.conv_indices:
+        if i not in plan.conv:
+            raise PlanError(f"plan is missing conv layer {i}")
+        defs[i]["filters"] = len(plan.conv[i].keep_rows)
+    layers = resolve_layers(defs, net.input_shape)
+    weights, biases = [], []
+    arriving = None                     # kept filters of the previous conv
+    for i, spec in enumerate(layers):
+        w, b = net.weights[i], net.biases[i]
         if spec.kind == "conv":
-            cp = plan.conv.get(i)
-            if cp is None:
-                raise PlanError(f"plan is missing conv layer {i}")
-            w2 = net.weights[i].reshape(spec.filters, spec.geom.cols)
-            sub = w2[np.ix_(cp.keep_rows, cp.keep_cols)].copy()
-            bias = None
-            if net.biases[i] is not None:
-                bias = net.biases[i][cp.keep_rows].copy()
-            entries.append(CompactConv(geom=cp.geom, weight=sub, bias=bias,
-                                       keep_cols=cp.keep_cols_new))
-        elif spec.kind == "fc":
-            w = net.weights[i]
-            fp = plan.fc.get(i)
-            w = w[:, fp.keep_in].copy() if fp is not None else w.copy()
-            bias = None if net.biases[i] is None else net.biases[i].copy()
-            entries.append(CompactFc(weight=w, bias=bias))
-        else:
-            entries.append(None)
-    return CompactNetwork(kinds=kinds, entries=entries, input_shape=net.input_shape,
-                          input_channels=plan.input_channels)
+            cp = plan.conv[i]
+            block = spec.geom.kernel_h * spec.geom.kernel_w
+            cols = cp.keep_cols
+            if arriving is not None:
+                cols = np.searchsorted(arriving, cols // block) * block + cols % block
+            if len(cols) < spec.geom.cols:
+                spec.keep_cols = cols
+            w = w.reshape(len(w), -1)[np.ix_(cp.keep_rows, cp.keep_cols)]
+            w = w.reshape(spec.weight_shape())
+            b = None if b is None else b[cp.keep_rows]
+            arriving = cp.keep_rows
+        elif i in plan.fc:
+            w = w[:, plan.fc[i].keep_in]
+        weights.append(None if w is None else w.copy())
+        biases.append(None if b is None else b.copy())
+    return CompactNetwork(
+        layers=layers, input_shape=net.input_shape, weights=weights, biases=biases,
+        vel_w=[None if w is None else np.zeros_like(w) for w in weights],
+        vel_b=[None if b is None else np.zeros_like(b) for b in biases],
+        rng_seed=net.rng_seed, iteration=net.iteration, dtype=net.dtype,
+        meta=dict(net.meta),
+    )
 
 
 @dataclass
@@ -321,21 +257,12 @@ def count_gflops(net: NetworkState, plan: CompactPlan | None = None) -> FlopsAcc
     return acct
 
 
-def _timed_forward_full(net: NetworkState, x: np.ndarray) -> list[float]:
+def _timed_forward(apply, x: np.ndarray, depth: int) -> list[float]:
+    """Seconds per layer of one forward, ``apply(i, x)`` running layer i."""
     times = []
-    for i in range(len(net.layers)):
+    for i in range(depth):
         t0 = time.perf_counter()
-        x, _ = apply_layer(net, i, x)
-        times.append(time.perf_counter() - t0)
-    return times
-
-
-def _timed_forward_compact(cnet: CompactNetwork, x: np.ndarray) -> list[float]:
-    x = cnet.prepare_input(x)
-    times = []
-    for i in range(len(cnet.kinds)):
-        t0 = time.perf_counter()
-        x = cnet.apply_layer(i, x)
+        x = apply(i, x)
         times.append(time.perf_counter() - t0)
     return times
 
@@ -361,13 +288,18 @@ def bench(
         raise ValueError(f"repeats must be >= 10, got {repeats}")
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.standard_normal((batch, *net.input_shape)).astype(net.dtype)
-    for _ in range(warmup):
-        _timed_forward_full(net, x)
-        _timed_forward_compact(cnet, x)
+    depth = len(net.layers)
+
+    def masked(i, x):
+        return apply_layer(net, i, x)[0]
+
     base, pruned = [], []
-    for _ in range(repeats):
-        base.append(_timed_forward_full(net, x))
-        pruned.append(_timed_forward_compact(cnet, x))
+    for k in range(warmup + repeats):
+        b = _timed_forward(masked, x, depth)
+        p = _timed_forward(cnet.apply_layer, cnet.prepare_input(x), depth)
+        if k >= warmup:
+            base.append(b)
+            pruned.append(p)
     base, pruned = np.array(base), np.array(pruned)
 
     def stats(samples: np.ndarray, side: str) -> dict:

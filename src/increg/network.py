@@ -8,6 +8,7 @@ for the loss term only; the decay terms are folded in by :func:`sgd_step`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,13 +27,22 @@ LAYER_KINDS = ("conv", "relu", "maxpool", "fc", "softmax-xent")
 
 
 class TrainingDiverged(RuntimeError):
-    """A training loss came out NaN or infinite, so the weights are lost."""
+    """A training loss came out NaN or infinite, so the weights are lost.
 
-    def __init__(self, phase: str, iteration: int, loss: float):
-        super().__init__(f"{phase} diverged at iteration {iteration}: loss is {loss!r}")
+    ``layer`` is the first layer whose output on the failing batch holds a
+    non-finite value, or None when none does.
+    """
+
+    def __init__(self, phase: str, iteration: int, loss: float,
+                 layer: int | None = None, kind: str = ""):
+        msg = f"{phase} diverged at iteration {iteration}: loss is {loss!r}"
+        if layer is not None:
+            msg += f"; layer {layer} ({kind}) is the first with a non-finite output"
+        super().__init__(msg)
         self.phase = phase
         self.iteration = iteration
         self.loss = loss
+        self.layer = layer
 
 
 @dataclass
@@ -41,7 +51,10 @@ class LayerSpec:
 
     Geometry and feature counts are bound to a concrete input shape by
     :func:`build_network`, so adjacent layers are chain-compatible by
-    construction.
+    construction. ``keep_cols`` is not a config key: it is set on the convs
+    of a compacted network (see :func:`compact.compact`) to the lowered rows
+    they read, and is None when a conv reads every row; such a conv keeps
+    its kernel as the lowered ``(filters, len(keep_cols))`` matrix.
     """
 
     kind: str
@@ -51,6 +64,7 @@ class LayerSpec:
     out_features: int = 0                 # fc only
     use_bias: bool = True
     prune_exempt: bool = False
+    keep_cols: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def parametric(self) -> bool:
@@ -58,6 +72,8 @@ class LayerSpec:
 
     def weight_shape(self) -> tuple[int, ...]:
         if self.kind == "conv":
+            if self.keep_cols is not None:
+                return (self.filters, len(self.keep_cols))
             g = self.geom
             return (self.filters, g.in_channels, g.kernel_h, g.kernel_w)
         if self.kind == "fc":
@@ -212,6 +228,23 @@ def resolve_layers(
     return layers
 
 
+def layer_def(spec: LayerSpec) -> dict:
+    """The config definition that :func:`resolve_layers` turns back into spec."""
+    if spec.kind == "conv":
+        return {
+            "kind": "conv",
+            "filters": spec.filters,
+            "kernel": [spec.geom.kernel_h, spec.geom.kernel_w],
+            "stride": spec.geom.stride,
+            "pad": spec.geom.pad,
+            "bias": spec.use_bias,
+            "prune_exempt": spec.prune_exempt,
+        }
+    if spec.kind == "fc":
+        return {"kind": "fc", "out_features": spec.out_features, "bias": spec.use_bias}
+    return {"kind": spec.kind}
+
+
 def build_network(
     defs: list[dict],
     input_shape: tuple[int, int, int],
@@ -252,15 +285,16 @@ def apply_layer(net: NetworkState, i: int, x: np.ndarray):
     spec = net.layers[i]
     if spec.kind == "conv":
         g = spec.geom
-        cols = im2col_batch(x, g)                       # (B, K, P)
-        w2 = net.weights[i].reshape(spec.filters, g.cols)
+        cols = im2col_batch(x, g, rows=spec.keep_cols)  # (B, K, P)
+        w2 = net.weights[i].reshape(spec.filters, -1)
         y = np.matmul(w2, cols)                         # (B, N, P)
         if net.biases[i] is not None:
             y += net.biases[i][:, None]
         y = y.reshape(x.shape[0], spec.filters, g.out_h, g.out_w)
         return y, ("conv", cols)
     if spec.kind == "relu":
-        return np.maximum(x, 0), ("relu", x > 0)
+        y = np.maximum(x, 0)
+        return y, ("relu", y)
     if spec.kind == "maxpool":
         y = maxpool2x2(x)
         return y, ("maxpool", x, y)
@@ -278,13 +312,19 @@ def apply_layer(net: NetworkState, i: int, x: np.ndarray):
     return x, ("softmax-xent",)
 
 
-def forward(net: NetworkState, x: np.ndarray):
-    """Full forward pass; returns (logits, list of per-layer caches)."""
+def input_batch(net: NetworkState, x: np.ndarray) -> np.ndarray:
+    """x as a batch of net.dtype, after checking it matches net.input_shape."""
     x = np.asarray(x, dtype=net.dtype)
     if x.ndim != 4 or x.shape[1:] != net.input_shape:
         raise ShapeError(
             f"batch shape {x.shape} does not match input shape {net.input_shape}"
         )
+    return x
+
+
+def forward(net: NetworkState, x: np.ndarray):
+    """Full forward pass; returns (logits, list of per-layer caches)."""
+    x = input_batch(net, x)
     caches = []
     for i in range(len(net.layers)):
         x, cache = apply_layer(net, i, x)
@@ -334,8 +374,7 @@ def layer_backward(net: NetworkState, i: int, cache, dy: np.ndarray, need_dx: bo
             dx = col2im_batch(dcols, g)
         return dx, dw, db
     if spec.kind == "relu":
-        mask = cache[1]
-        return dy * mask, None, None
+        return dy * (cache[1] > 0), None, None
     if spec.kind == "maxpool":
         return maxpool2x2_backward(dy, cache[1], cache[2]), None, None
     if spec.kind == "fc":
@@ -374,6 +413,22 @@ def loss_and_grads(net: NetworkState, x: np.ndarray, labels: np.ndarray):
     loss, dlogits = softmax_xent(logits, labels)
     dweights, dbiases = backward(net, caches, dlogits)
     return loss, dweights, dbiases
+
+
+def check_loss(net: NetworkState, loss: float, x: np.ndarray, phase: str) -> None:
+    """Raise TrainingDiverged if ``loss`` on batch ``x`` is NaN or infinite.
+
+    Only then is the batch run again, layer by layer, to name the first
+    layer whose output holds a non-finite value.
+    """
+    if math.isfinite(loss):
+        return
+    x = input_batch(net, x)
+    for i, spec in enumerate(net.layers):
+        x, _ = apply_layer(net, i, x)
+        if not np.isfinite(x).all():
+            raise TrainingDiverged(phase, net.iteration, loss, i, spec.kind)
+    raise TrainingDiverged(phase, net.iteration, loss)
 
 
 def sgd_step(

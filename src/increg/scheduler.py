@@ -22,7 +22,7 @@ from .data import batch_iter
 from .network import (
     NetworkState,
     TrainConfig,
-    TrainingDiverged,
+    check_loss,
     evaluate,
     loss_and_grads,
     lr_at,
@@ -467,8 +467,7 @@ def run_pruning(
         reg, masks, bias_masks = materialize_reg(net, layer_groups)
         xb, yb = next(stream)
         loss, dw, db = loss_and_grads(net, xb, yb)
-        if not math.isfinite(loss):
-            raise TrainingDiverged("prune", t, loss)
+        check_loss(net, loss, xb, "prune")
         sgd_step(net, dw, db, cfg, lr=lr_at(cfg, t), reg=reg,
                  masks=masks, bias_masks=bias_masks)
 

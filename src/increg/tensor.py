@@ -9,8 +9,7 @@ Conventions used throughout the package:
   matrix whose columns walk ``(channel, kernel_row, kernel_col)`` in row-major
   order, so lowering is a plain ``reshape`` and round-trips bit-for-bit.
 
-The 2x2/2 max pool shared by the masked and the compacted networks lives
-here too.
+The 2x2/2 max pool lives here too.
 """
 
 from __future__ import annotations
@@ -87,8 +86,8 @@ def im2col_batch(
 ) -> np.ndarray:
     """Batched lowering: (batch, C, H, W) -> (batch, cols, positions).
 
-    ``rows``, if given, is an array of lowered-row indices to emit (the
-    compacted path builds only the rows that survive column pruning).
+    ``rows``, if given, is an array of lowered-row indices to emit (a
+    compacted conv builds only the rows its kept columns read).
     """
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[1:] != (geom.in_channels, geom.in_h, geom.in_w):

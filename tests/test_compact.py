@@ -72,21 +72,23 @@ def batch(shape, n=7, seed=42):
     return rng.standard_normal((n, *shape)).astype(np.float32)
 
 
+def param_count(net):
+    return sum(net.weights[i].size + net.biases[i].size
+               for i in net.parametric_indices)
+
+
 class TestPlan:
     def test_identity_plan(self):
         net = chain_net()
         lgs = build_all_groups(net, [PruneSchedule(ratio=0.25, speed=1.0)],
                                TrainConfig())
-        plan = build_plan(net, lgs)
-        assert plan.is_identity(net)
-        cnet = compact(net, plan)
+        cnet = compact(net, build_plan(net, lgs))
+        assert all(spec.keep_cols is None for spec in cnet.layers)
+        for a, b in zip(cnet.weights, net.weights):
+            assert (a is None and b is None) or np.array_equal(a, b)
         x = batch(CHAIN_SHAPE)
         # identical shapes run the identical kernels: bitwise equal
         assert np.array_equal(cnet.forward(x), logits_of(net, x))
-        assert cnet.param_count() == sum(
-            net.weights[i].size + net.biases[i].size
-            for i in net.parametric_indices
-        )
 
     def test_pruned_group_with_live_weights_rejected(self):
         net = chain_net()
@@ -130,6 +132,8 @@ class TestForwardEquivalence:
         x = batch(net.input_shape)
         a = logits_of(net, x)
         b = cnet.forward(x)
+        # the compacted net is an ordinary network run by the same forward
+        assert np.array_equal(logits_of(cnet, x), b)
         assert a.shape == b.shape
         np.testing.assert_allclose(a, b, atol=atol, rtol=1e-5)
         return plan, cnet
@@ -143,7 +147,8 @@ class TestForwardEquivalence:
         plan, cnet = self.check(net, lgs)
         assert len(plan.conv[0].keep_cols) == 15
         assert len(plan.conv[3].keep_cols) == 32
-        assert cnet.entries[0].weight.shape == (4, 15)
+        assert cnet.weights[0].shape == (4, 15)
+        assert cnet.layers[0].keep_cols.tolist() == plan.conv[0].keep_cols.tolist()
 
     def test_row_pruning_propagates_to_next_conv(self):
         net = chain_net(seed=2)
@@ -153,9 +158,9 @@ class TestForwardEquivalence:
         assert plan.conv[0].keep_rows.tolist() == [0, 2, 3]
         # conv at layer 3 loses input channel 1: 27 of 36 columns survive
         assert len(plan.conv[3].keep_cols) == 27
-        assert plan.conv[3].geom.in_channels == 3
-        assert cnet.entries[3].weight.shape == (6, 27)
-        assert cnet.entries[3].keep_cols is None  # dense over kept channels
+        assert cnet.layers[3].geom.in_channels == 3
+        assert cnet.weights[3].shape == (6, 3, 3, 3)
+        assert cnet.layers[3].keep_cols is None  # dense over kept channels
 
     def test_last_conv_row_pruning_remaps_fc(self):
         net = chain_net(seed=3)
@@ -166,16 +171,17 @@ class TestForwardEquivalence:
         hw = 4
         expect = [c * hw + j for c in (1, 2, 3, 5) for j in range(hw)]
         assert plan.fc[6].keep_in.tolist() == expect
-        assert cnet.entries[6].weight.shape == (5, 16)
+        assert cnet.weights[6].shape == (5, 16)
+        assert cnet.layers[6].in_features == 16
 
     def test_channel_pruning_retires_upstream_filter(self):
         net = chain_net(seed=4)
         lg = build_groups(net, PruneSchedule(ratio=0.2, speed=1.0, kind="channel"), 3)
         prune_indices(net, lg, [2])
-        plan, _ = self.check(net, [lg])
+        plan, cnet = self.check(net, [lg])
         # the producing filter of the dead channel dies with it
         assert plan.conv[0].keep_rows.tolist() == [0, 1, 3]
-        assert plan.conv[3].geom.in_channels == 3
+        assert cnet.layers[3].geom.in_channels == 3
         assert 6 not in plan.fc
 
     def test_channel_pruning_on_first_conv_selects_input(self):
@@ -183,9 +189,11 @@ class TestForwardEquivalence:
         lg = build_groups(net, PruneSchedule(ratio=0.4, speed=1.0, kind="channel"), 0)
         prune_indices(net, lg, [0])
         plan, cnet = self.check(net, [lg])
-        assert plan.input_channels.tolist() == [1]
-        assert not plan.is_identity(net)
-        assert cnet.input_channels.tolist() == [1]
+        # the first conv still reads both input channels, but lowers only
+        # the rows of channel 1's block of 9
+        assert cnet.layers[0].geom.in_channels == 2
+        assert cnet.layers[0].keep_cols.tolist() == list(range(9, 18))
+        assert cnet.weights[0].shape == (4, 9)
 
     def test_mixed_kinds_across_layers(self):
         net = chain_net(seed=6)
@@ -193,11 +201,13 @@ class TestForwardEquivalence:
         col_lg = build_groups(net, PruneSchedule(ratio=0.2, speed=1.0), 3)
         prune_indices(net, row_lg, [3])
         prune_indices(net, col_lg, [5, 9, 28])
-        plan, _ = self.check(net, [row_lg, col_lg])
+        plan, cnet = self.check(net, [row_lg, col_lg])
         # conv 3 loses channel 3's block of 9 plus its own dead columns,
         # except column 28 which lives inside the dead block already
         assert len(plan.conv[3].keep_cols) == 25
-        assert plan.conv[3].keep_cols_new is not None
+        # renumbered to the three channels that reach it
+        assert cnet.layers[3].keep_cols.tolist() == [
+            c for c in range(27) if c not in (5, 9)]
 
     def test_deep_batch_agreement(self):
         net = build_network(ONEBYONE_DEFS, ONEBYONE_SHAPE, seed=7)
@@ -216,10 +226,11 @@ class TestForwardEquivalence:
         net = chain_net(seed=8)
         lgs = build_all_groups(net, [PruneSchedule(ratio=0.3, speed=1.0)],
                                TrainConfig())
-        base = compact(net, build_plan(net, lgs)).param_count()
+        base = param_count(compact(net, build_plan(net, lgs)))
+        assert base == param_count(net)
         prune_indices(net, lgs[0], [0, 1])
         prune_indices(net, lgs[1], [10])
-        small = compact(net, build_plan(net, lgs)).param_count()
+        small = param_count(compact(net, build_plan(net, lgs)))
         assert small == base - 2 * 4 - 1 * 6
 
     def test_prepare_input_validates_shape(self):
@@ -303,14 +314,20 @@ class TestBench:
         compact_mod = importlib.import_module("increg.compact")
         net, cnet, _ = self.make()
         calls = []
-        for name, tag in (("_timed_forward_full", "masked"),
-                          ("_timed_forward_compact", "compact")):
-            real = getattr(compact_mod, name)
-            monkeypatch.setattr(compact_mod, name,
-                                lambda n, x, real=real, tag=tag:
-                                calls.append(tag) or real(n, x))
-        bench(net, cnet, batch=2, repeats=10, warmup=0)
-        assert calls == ["masked", "compact"] * 10
+        real = compact_mod._timed_forward
+        monkeypatch.setattr(compact_mod, "_timed_forward",
+                            lambda apply, x, depth: calls.append("timed")
+                            or real(apply, x, depth))
+        # the hooks a tracer wraps to time the compacted passes and layers
+        for name in ("prepare_input", "apply_layer"):
+            hook = getattr(CompactNetwork, name)
+            monkeypatch.setattr(CompactNetwork, name,
+                                lambda self, *a, hook=hook, name=name:
+                                calls.append(name) or hook(self, *a))
+        bench(net, cnet, batch=2, repeats=10, warmup=1)
+        depth = len(net.layers)
+        one = ["timed", "prepare_input", "timed", *["apply_layer"] * depth]
+        assert calls == one * 11
 
     def test_report_round_trips_as_json(self, tmp_path):
         import json

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -296,10 +297,16 @@ class TestCli:
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(yaml.safe_dump(user))
         out = tmp_path / "run"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["train", "--config", str(cfg_path), "--out", str(out)])
         assert code == 4
-        assert "train diverged at iteration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "train diverged at iteration" in err
+        # the overflow is reported once, by the layer it starts in
+        assert "layer 2 (conv) is the first with a non-finite output" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / "baseline.ckpt").exists()
 
     def test_non_finite_checkpoint_is_exit_2(self, pipeline_cfg, capsys):

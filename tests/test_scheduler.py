@@ -635,6 +635,7 @@ class TestRunPruning:
             run_pruning(net, x, y, cfg, [sch], seed=11)
         assert e.value.phase == "prune"
         assert e.value.iteration < 200
+        assert e.value.layer is not None
         assert f"prune diverged at iteration {e.value.iteration}" in str(e.value)
 
     def test_bad_report_stride_rejected(self):
