@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import NetworkState, apply_layer, input_batch, layer_def, resolve_layers
-from .scheduler import LayerGroups
+from .scheduler import LayerGroups, group_l1
 
 
 class PlanError(ValueError):
@@ -51,20 +51,16 @@ def _pruned_sets(net: NetworkState, layer_groups: list[LayerGroups]):
     cols: dict[int, set] = {}
     chans: dict[int, set] = {}
     for lg in layer_groups:
-        w = net.weights[lg.layer]
-        idxs = set()
-        for g in lg.groups:
-            if not g.pruned:
-                continue
-            if np.any(w.flat[g.members] != 0):
-                raise PlanError(
-                    f"layer {lg.layer} group {g.index} is pruned but has nonzero weights"
-                )
-            idxs.add(g.index)
+        # a group's L1-norm is 0 exactly when every weight in it is 0
+        live = np.flatnonzero(lg.pruned & (group_l1(net.weights[lg.layer], lg.kind) != 0))
+        if live.size:
+            raise PlanError(
+                f"layer {lg.layer} group {live[0]} is pruned but has nonzero weights"
+            )
         bucket = {"row": rows, "column": cols, "channel": chans}[lg.kind]
         if lg.layer in bucket:
             raise PlanError(f"layer {lg.layer} appears in two group sets")
-        bucket[lg.layer] = idxs
+        bucket[lg.layer] = set(np.flatnonzero(lg.pruned).tolist())
     return rows, cols, chans
 
 

@@ -24,16 +24,6 @@ class PruneReport:
     rows: list[tuple] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
-    def steps(self) -> list[int]:
-        seen: list[int] = []
-        for r in self.rows:
-            if not seen or seen[-1] != r[0]:
-                seen.append(r[0])
-        return seen
-
-    def rows_at(self, step: int) -> list[tuple]:
-        return [r for r in self.rows if r[0] == step]
-
 
 def validate_report(report: PruneReport) -> None:
     """Check row schema and the strict (step, layer, group_id) ordering."""

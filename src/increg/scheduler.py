@@ -7,14 +7,15 @@ group's regularization factor moves by a piecewise-linear amount of its
 running-average rank: low-ranked (unimportant) groups are pushed toward
 zero, high-ranked ones get relief. Groups whose L1-norm falls below a
 threshold are pruned permanently, until every layer holds exactly its
-target count.
+target count. A layer's whole state is a few per-group vectors
+(:class:`LayerGroups`); :func:`group_layout` and :func:`group_l1` define
+where each group lies in the weight.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,8 +30,6 @@ from .network import (
     sgd_step,
 )
 from .report import PruneReport
-
-log = logging.getLogger(__name__)
 
 GROUP_KINDS = ("row", "column", "channel")
 
@@ -49,26 +48,6 @@ class PruneDidNotConverge(RuntimeError):
         super().__init__(message)
         self.report = report
         self.groups = groups
-
-
-@dataclass
-class GroupState:
-    """One weight group of one layer."""
-
-    layer: int
-    index: int
-    members: np.ndarray            # flat indices into the layer's weight array
-    lambda_g: float = 0.0
-    rank_sum: float = 0.0
-    rank_count: int = 0
-    pruned: bool = False
-    l1: float = 0.0
-
-    @property
-    def avg_rank(self) -> float:
-        if self.rank_count == 0:
-            raise ScheduleError(f"group {self.layer}/{self.index} was never ranked")
-        return self.rank_sum / self.rank_count
 
 
 @dataclass(frozen=True)
@@ -95,41 +74,78 @@ class PruneSchedule:
             raise ScheduleError(f"unknown group kind {self.kind!r}")
 
 
+def group_layout(kind: str, shape: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """Broadcast shape of a per-group vector over an (N, C, kh, kw) conv weight.
+
+    Groups are numbered in the row-major order of that shape: a column is
+    one kernel position across all filters, a row one filter, a channel one
+    input channel's kh*kw block across all filters.
+    """
+    n, c, kh, kw = shape
+    if kind == "column":
+        return (1, c, kh, kw)
+    if kind == "row":
+        return (n, 1, 1, 1)
+    return (1, c, 1, 1)
+
+
+def group_l1(w: np.ndarray, kind: str) -> np.ndarray:
+    """Per-group L1-norms of a conv weight, in float32 and a fixed summation order."""
+    n, c = w.shape[:2]
+    flat = np.abs(w.reshape(n, -1))
+    if kind == "row":
+        return flat.sum(axis=1)
+    vec = flat.sum(axis=0)
+    if kind == "channel":
+        return vec.reshape(c, -1).sum(axis=1)
+    return vec
+
+
 @dataclass
 class LayerGroups:
-    """All groups of one layer plus its resolved schedule and target count."""
+    """Scheduler state of one layer, one vector entry per group.
+
+    ``lam`` (the factors), ``rank_sum`` and ``l1`` (the norm cached by
+    :func:`refresh_l1`, 0 once pruned) are float64 and ``pruned`` is bool.
+    Every group of a layer is ranked on every iteration, so one
+    ``rank_count`` serves them all.
+    """
 
     layer: int
     kind: str
-    groups: list[GroupState]
+    layout: tuple[int, int, int, int]
     target: int
     schedule: PruneSchedule
+    rank_count: int = 0
+    lam: np.ndarray = field(init=False)
+    rank_sum: np.ndarray = field(init=False)
+    l1: np.ndarray = field(init=False)
+    pruned: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n = math.prod(self.layout)
+        self.lam = np.zeros(n)
+        self.rank_sum = np.zeros(n)
+        self.l1 = np.zeros(n)
+        self.pruned = np.zeros(n, dtype=bool)
 
     @property
     def n_groups(self) -> int:
-        return len(self.groups)
+        return len(self.lam)
 
     @property
     def pruned_count(self) -> int:
-        return sum(g.pruned for g in self.groups)
+        return int(np.count_nonzero(self.pruned))
 
     @property
     def finished(self) -> bool:
         return self.pruned_count >= self.target
 
-
-def _group_members(shape: tuple[int, ...], kind: str) -> list[np.ndarray]:
-    n, c, kh, kw = shape
-    k = c * kh * kw
-    if kind == "column":
-        return [j + k * np.arange(n) for j in range(k)]
-    if kind == "row":
-        return [f * k + np.arange(k) for f in range(n)]
-    block = kh * kw
-    return [
-        (np.arange(n)[:, None] * k + ch * block + np.arange(block)).ravel()
-        for ch in range(c)
-    ]
+    @property
+    def avg_rank(self) -> np.ndarray:
+        if self.rank_count == 0:
+            raise ScheduleError(f"layer {self.layer}: groups were never ranked")
+        return self.rank_sum / self.rank_count
 
 
 def target_count(ratio: float, n_groups: int) -> int:
@@ -139,22 +155,22 @@ def target_count(ratio: float, n_groups: int) -> int:
 
 def build_groups(net: NetworkState, schedule: PruneSchedule, layer: int) -> LayerGroups:
     """Cut one conv layer into groups under a schedule with a bound layer."""
+    if not isinstance(layer, int) or not 0 <= layer < len(net.layers):
+        raise ScheduleError(f"no layer {layer!r} in a {len(net.layers)}-layer network")
     spec = net.layers[layer]
     if spec.kind != "conv":
         raise ScheduleError(f"layer {layer} is {spec.kind!r}, only conv layers have groups")
     if spec.prune_exempt:
         raise ScheduleError(f"layer {layer} is exempt from pruning")
-    shape = net.weights[layer].shape
-    members = _group_members(shape, schedule.kind)
-    n_g = len(members)
+    layout = group_layout(schedule.kind, net.weights[layer].shape)
+    n_g = math.prod(layout)
     target = target_count(schedule.ratio, n_g)
     if target > 0 and (n_g - 1) - schedule.ratio * n_g <= 0:
         raise ScheduleError(
             f"layer {layer}: ratio {schedule.ratio} leaves fewer than 2 of "
             f"{n_g} groups, rank mapping is degenerate"
         )
-    groups = [GroupState(layer=layer, index=i, members=m) for i, m in enumerate(members)]
-    return LayerGroups(layer=layer, kind=schedule.kind, groups=groups,
+    return LayerGroups(layer=layer, kind=schedule.kind, layout=layout,
                        target=target, schedule=schedule)
 
 
@@ -191,61 +207,45 @@ def build_all_groups(
 
 
 def refresh_l1(net: NetworkState, lg: LayerGroups) -> np.ndarray:
-    """Recompute and cache every group's current L1-norm; returns the vector."""
-    w = net.weights[lg.layer]
-    n, c, kh, kw = w.shape
-    flat = np.abs(w.reshape(n, c * kh * kw))
-    if lg.kind == "column":
-        vec = flat.sum(axis=0)
-    elif lg.kind == "row":
-        vec = flat.sum(axis=1)
-    else:
-        vec = flat.sum(axis=0).reshape(c, kh * kw).sum(axis=1)
-    for g, v in zip(lg.groups, vec):
-        g.l1 = 0.0 if g.pruned else float(v)
+    """Recompute and cache every group's current L1-norm; returns the float32 vector."""
+    vec = group_l1(net.weights[lg.layer], lg.kind)
+    lg.l1[:] = vec
+    lg.l1[lg.pruned] = 0.0
     return vec
 
 
-def rank_groups(groups: list[GroupState]) -> np.ndarray:
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    if len(keys) == 0:
+        raise ScheduleError("cannot rank an empty group list")
+    order = np.argsort(keys, kind="stable")
+    ranks = np.empty(len(keys), dtype=np.intp)
+    ranks[order] = np.arange(len(keys))
+    return ranks
+
+
+def rank_groups(l1: np.ndarray) -> np.ndarray:
     """Instantaneous ranks: ascending L1-norm, ties by group index."""
-    if not groups:
-        raise ScheduleError("cannot rank an empty group list")
-    l1 = np.array([g.l1 for g in groups])
-    order = np.argsort(l1, kind="stable")
-    ranks = np.empty(len(groups), dtype=np.intp)
-    ranks[order] = np.arange(len(groups))
-    return ranks
+    return _ranks(np.asarray(l1))
 
 
-def update_avg_rank(g: GroupState, rank: int) -> None:
-    """Fold one instantaneous rank into the group's running average."""
-    if rank < 0:
-        raise ScheduleError(f"rank must be nonnegative, got {rank}")
-    g.rank_sum += rank
-    g.rank_count += 1
-
-
-def final_rank(groups: list[GroupState]) -> np.ndarray:
+def final_rank(lg: LayerGroups) -> np.ndarray:
     """Integer ranks of the running-average ranks, stable ties by index."""
-    if not groups:
-        raise ScheduleError("cannot rank an empty group list")
-    avg = np.array([g.avg_rank for g in groups])
-    order = np.argsort(avg, kind="stable")
-    ranks = np.empty(len(groups), dtype=np.intp)
-    ranks[order] = np.arange(len(groups))
-    return ranks
+    return _ranks(lg.avg_rank)
 
 
-def delta_lambda(rank: float, ratio: float, n_groups: int, speed: float) -> float:
+def delta_lambda(rank, ratio: float, n_groups: int, speed: float):
     """Piecewise-linear factor increment as a function of final rank.
 
     Decreases from +speed at rank 0 through 0 at ratio*n_groups down to
-    exactly -speed at rank n_groups-1.
+    exactly -speed at rank n_groups-1. ``rank`` may be a scalar (the
+    increment is a float) or an array of ranks (an array of increments).
     """
     if n_groups < 2:
         raise ScheduleError(f"need at least 2 groups, got {n_groups}")
-    if not 0 <= rank <= n_groups - 1:
-        raise ScheduleError(f"rank {rank} outside [0, {n_groups - 1}]")
+    r = np.asarray(rank)
+    outside = r[(r < 0) | (r > n_groups - 1)]
+    if outside.size:
+        raise ScheduleError(f"rank {outside[0]} outside [0, {n_groups - 1}]")
     if speed <= 0:
         raise ScheduleError(f"speed must be positive, got {speed}")
     s = ratio * n_groups
@@ -256,56 +256,37 @@ def delta_lambda(rank: float, ratio: float, n_groups: int, speed: float) -> floa
         raise ScheduleError(
             f"ratio {ratio} with {n_groups} groups leaves no decreasing branch"
         )
-    if rank <= s:
-        return speed * (1.0 - rank / s)
-    return -speed * ((rank - s) / denom)
+    delta = np.where(r <= s, speed * (1.0 - r / s), -speed * ((r - s) / denom))
+    return float(delta) if delta.ndim == 0 else delta
 
 
-def update_lambda(g: GroupState, delta: float) -> None:
-    """Shift a group's factor by delta, clamped at zero; frozen once pruned."""
-    if g.pruned:
-        log.warning("group %d/%d is pruned; lambda update ignored", g.layer, g.index)
-        return
-    g.lambda_g = max(g.lambda_g + delta, 0.0)
-
-
-def prune_group(net: NetworkState, g: GroupState) -> None:
-    """Permanently remove a group: weights and momentum to exact zero."""
-    w = net.weights[g.layer]
-    w.flat[g.members] = 0
-    net.vel_w[g.layer].flat[g.members] = 0
-    g.pruned = True
-    g.l1 = 0.0
-
-
-def _zero_row_bias(net: NetworkState, lg: LayerGroups, g: GroupState) -> None:
-    # a pruned filter's bias must die too, or its output plane stays biased
-    if lg.kind == "row" and net.biases[lg.layer] is not None:
-        net.biases[lg.layer][g.index] = 0
-        net.vel_b[lg.layer][g.index] = 0
-
-
-def prune_converged(
-    net: NetworkState,
-    lg: LayerGroups,
-    epsilon: float | None = None,
-    max_new: int | None = None,
-) -> list[GroupState]:
-    """Prune unpruned groups whose L1-norm fell below epsilon.
+def prune_converged(net: NetworkState, lg: LayerGroups,
+                    max_new: int | None = None) -> np.ndarray:
+    """Prune unpruned groups whose cached L1-norm fell below epsilon.
 
     ``max_new`` caps how many are pruned this call (smallest norms first,
-    ties by index) so a layer never overshoots its target count.
+    ties by index) so a layer never overshoots its target count. Pruned
+    weights and momentum, and a pruned row's bias, are set to exact zero;
+    returns the new indices in pruning order.
     """
-    eps = lg.schedule.epsilon if epsilon is None else epsilon
-    if eps <= 0:
-        raise ScheduleError(f"epsilon must be positive, got {eps}")
-    below = [g for g in lg.groups if not g.pruned and g.l1 < eps]
-    below.sort(key=lambda g: (g.l1, g.index))
+    below = np.flatnonzero(~lg.pruned & (lg.l1 < lg.schedule.epsilon))
+    if below.size == 0:
+        return below
+    below = below[np.argsort(lg.l1[below], kind="stable")]
     if max_new is not None:
         below = below[: max(max_new, 0)]
-    for g in below:
-        prune_group(net, g)
-        _zero_row_bias(net, lg, g)
+    lg.pruned[below] = True
+    lg.l1[below] = 0.0
+    drop = np.zeros(lg.n_groups, dtype=bool)
+    drop[below] = True
+    w = net.weights[lg.layer]
+    drop = np.broadcast_to(drop.reshape(lg.layout), w.shape)
+    np.putmask(w, drop, 0)
+    np.putmask(net.vel_w[lg.layer], drop, 0)
+    # a pruned filter's bias must die too, or its output plane stays biased
+    if lg.kind == "row" and net.biases[lg.layer] is not None:
+        net.biases[lg.layer][below] = 0
+        net.vel_b[lg.layer][below] = 0
     return below
 
 
@@ -313,29 +294,23 @@ def materialize_reg(net: NetworkState, layer_groups: list[LayerGroups]):
     """Per-layer factor arrays and keep-masks shaped to broadcast over weights.
 
     Returns (reg, masks, bias_masks) dicts keyed by layer index, consumable
-    by the SGD step: column factors broadcast as (1,C,kh,kw), rows as
-    (N,1,1,1), channels as (1,C,1,1).
+    by the SGD step, each array in its layer's :func:`group_layout`; row
+    layers also get a per-filter bias mask.
     """
     reg: dict[int, np.ndarray] = {}
     masks: dict[int, np.ndarray] = {}
     bias_masks: dict[int, np.ndarray] = {}
     for lg in layer_groups:
-        n, c, kh, kw = net.weights[lg.layer].shape
-        lam = np.array([g.lambda_g for g in lg.groups], dtype=np.float64)
-        keep = np.array([not g.pruned for g in lg.groups])
-        if lg.kind == "column":
-            shape = (1, c, kh, kw)
-        elif lg.kind == "row":
-            shape = (n, 1, 1, 1)
-        else:
-            lam = np.repeat(lam, kh * kw)
-            keep = np.repeat(keep, kh * kw)
-            shape = (1, c, kh, kw)
-        reg[lg.layer] = lam.reshape(shape)
-        masks[lg.layer] = keep.reshape(shape)
+        keep = ~lg.pruned
+        reg[lg.layer] = lg.lam.reshape(lg.layout).copy()
+        masks[lg.layer] = keep.reshape(lg.layout)
         if lg.kind == "row":
-            bias_masks[lg.layer] = keep.copy()
+            bias_masks[lg.layer] = keep
     return reg, masks, bias_masks
+
+
+_META_KEYS = ("layer", "kind", "target", "ratio", "speed", "epsilon",
+              "update_interval", "lambda", "rank_sum", "rank_count", "pruned")
 
 
 def groups_to_meta(layer_groups: list[LayerGroups]) -> list[dict]:
@@ -350,34 +325,49 @@ def groups_to_meta(layer_groups: list[LayerGroups]) -> list[dict]:
             "speed": lg.schedule.speed,
             "epsilon": lg.schedule.epsilon,
             "update_interval": lg.schedule.update_interval,
-            "lambda": [g.lambda_g for g in lg.groups],
-            "rank_sum": [g.rank_sum for g in lg.groups],
-            "rank_count": [g.rank_count for g in lg.groups],
-            "pruned": [int(g.pruned) for g in lg.groups],
+            "lambda": lg.lam.tolist(),
+            "rank_sum": lg.rank_sum.tolist(),
+            "rank_count": [lg.rank_count] * lg.n_groups,
+            "pruned": lg.pruned.astype(int).tolist(),
         })
     return out
 
 
 def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
-    """Rebuild scheduler state saved by :func:`groups_to_meta`."""
+    """Rebuild scheduler state saved by :func:`groups_to_meta`.
+
+    Raises ScheduleError for a missing key, a per-group list whose length is
+    not the layer's group count, unequal rank counts or unreadable values.
+    """
     out = []
     for m in meta:
+        if not isinstance(m, dict):
+            raise ScheduleError(f"scheduler state entry {m!r} is not a mapping")
+        missing = [k for k in _META_KEYS if k not in m]
+        if missing:
+            raise ScheduleError(f"scheduler state lacks {', '.join(missing)}")
         sch = PruneSchedule(
             ratio=m["ratio"], speed=m["speed"], epsilon=m["epsilon"],
             update_interval=m["update_interval"], kind=m["kind"], layer=m["layer"],
         )
         lg = build_groups(net, sch, m["layer"])
-        if lg.n_groups != len(m["lambda"]):
-            raise ScheduleError(
-                f"layer {m['layer']}: {len(m['lambda'])} saved groups vs {lg.n_groups}"
-            )
-        for g, lam, rs, rc, pr in zip(
-            lg.groups, m["lambda"], m["rank_sum"], m["rank_count"], m["pruned"]
-        ):
-            g.lambda_g = float(lam)
-            g.rank_sum = float(rs)
-            g.rank_count = int(rc)
-            g.pruned = bool(pr)
+        for key in ("lambda", "rank_sum", "rank_count", "pruned"):
+            if not isinstance(m[key], list) or len(m[key]) != lg.n_groups:
+                raise ScheduleError(
+                    f"layer {lg.layer}: saved {key!r} does not list its "
+                    f"{lg.n_groups} groups"
+                )
+        if m["target"] != lg.target:
+            raise ScheduleError(f"layer {lg.layer}: saved target {m['target']} vs {lg.target}")
+        try:
+            if len(set(m["rank_count"])) != 1:
+                raise ScheduleError(f"layer {lg.layer}: groups saved with unequal rank counts")
+            lg.lam[:] = m["lambda"]
+            lg.rank_sum[:] = m["rank_sum"]
+            lg.rank_count = int(m["rank_count"][0])
+            lg.pruned[:] = m["pruned"]
+        except (TypeError, ValueError) as e:
+            raise ScheduleError(f"layer {lg.layer}: unreadable scheduler state: {e}") from e
         refresh_l1(net, lg)
         out.append(lg)
     return out
@@ -386,10 +376,10 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
 def _snapshot(rows: list, step: int, layer_groups: list[LayerGroups],
               inst: dict[int, np.ndarray]) -> None:
     for lg in layer_groups:
-        ranks = inst[lg.layer]
-        for g, r in zip(lg.groups, ranks):
-            rows.append((step, lg.layer, g.index, g.l1, g.lambda_g,
-                         int(r), g.avg_rank, int(g.pruned)))
+        n = lg.n_groups
+        rows.extend(zip([step] * n, [lg.layer] * n, range(n), lg.l1.tolist(),
+                        lg.lam.tolist(), inst[lg.layer].tolist(),
+                        lg.avg_rank.tolist(), lg.pruned.astype(int).tolist()))
 
 
 def run_pruning(
@@ -441,25 +431,20 @@ def run_pruning(
             converged_at = t
         inst: dict[int, np.ndarray] = {}
         for lg in layer_groups:
-            ranks = rank_groups(lg.groups)
-            inst[lg.layer] = ranks
-            for g, r in zip(lg.groups, ranks):
-                update_avg_rank(g, int(r))
+            inst[lg.layer] = ranks = rank_groups(lg.l1)
+            lg.rank_sum += ranks
+            lg.rank_count += 1
         due = [lg for lg in layer_groups if k % lg.schedule.update_interval == 0]
         for lg in due:
-            speed = lg.schedule.speed
+            # factors move by the rank law, clamped at zero; pruned ones stay frozen
+            live = ~lg.pruned
             if not lg.finished:
-                fr = final_rank(lg.groups)
-                for g, r in zip(lg.groups, fr):
-                    if not g.pruned:
-                        update_lambda(
-                            g, delta_lambda(int(r), lg.schedule.ratio,
-                                            lg.n_groups, speed)
-                        )
+                delta = delta_lambda(final_rank(lg), lg.schedule.ratio,
+                                     lg.n_groups, lg.schedule.speed)
+                lg.lam[live] = np.maximum(lg.lam[live] + delta[live], 0.0)
             else:
-                for g in lg.groups:
-                    if not g.pruned and g.lambda_g > 0:
-                        update_lambda(g, -speed)
+                live &= lg.lam > 0
+                lg.lam[live] = np.maximum(lg.lam[live] - lg.schedule.speed, 0.0)
         snap = [lg for lg in due
                 if k % (lg.schedule.update_interval * report_stride) == 0]
         if snap:
@@ -474,7 +459,7 @@ def run_pruning(
     # the last step may have pushed the final groups under the threshold
     if prune_pass() and converged_at is None:
         converged_at = net.iteration
-    inst = {lg.layer: rank_groups(lg.groups) for lg in layer_groups}
+    inst = {lg.layer: rank_groups(lg.l1) for lg in layer_groups}
     _snapshot(rows, net.iteration, layer_groups, inst)
 
     summary = {

@@ -126,7 +126,7 @@ def test_criterion_2_factor_increment_law(capsys):
             configs.append((n, ratio, speed))
         for n, ratio, speed in configs:
             s = ratio * n
-            deltas = [delta_lambda(r, ratio, n, speed) for r in range(n)]
+            deltas = delta_lambda(np.arange(n), ratio, n, speed).tolist()
             assert deltas[0] == speed                      # exact endpoint
             assert deltas[-1] == -speed                    # exact endpoint
             mid = int(s)
@@ -284,10 +284,10 @@ def test_criterion_4_oracle_equivalences(capsys):
 def prune_fraction(net, lg):
     """Zero and prune the lowest-norm groups down to the layer target."""
     vec = refresh_l1(net, lg)
-    order = np.argsort(vec, kind="stable")[: lg.target]
-    w = net.weights[lg.layer].reshape(net.layers[lg.layer].filters, -1)
-    for gid in order:
-        w.flat[lg.groups[int(gid)].members] = 0.0
+    drop = np.zeros(lg.n_groups, dtype=bool)
+    drop[np.argsort(vec, kind="stable")[: lg.target]] = True
+    w = net.weights[lg.layer]
+    w[np.broadcast_to(drop.reshape(lg.layout), w.shape)] = 0.0
     refresh_l1(net, lg)
     prune_converged(net, lg, max_new=lg.target)
     assert lg.pruned_count == lg.target
@@ -342,10 +342,9 @@ def test_criterion_6_survivors_gain_energy(capsys):
             first = min(r[0] for r in rep.rows)
             last = max(r[0] for r in rep.rows)
             for lg in lgs:
-                ranks = final_rank(lg.groups)
+                ranks = final_rank(lg)
                 cut = lg.schedule.ratio * lg.n_groups
-                survivors = {g.index for g, r in zip(lg.groups, ranks)
-                             if r >= cut}
+                survivors = np.flatnonzero(ranks >= cut).tolist()
                 start = {r[2]: r[3] for r in rep.rows
                          if r[0] == first and r[1] == lg.layer}
                 end = {r[2]: r[3] for r in rep.rows
@@ -355,9 +354,8 @@ def test_criterion_6_survivors_gain_energy(capsys):
                 assert m1 >= m0, (
                     f"seed {seed} layer {lg.layer}: survivor mean L1 "
                     f"{m1:.4f} < start {m0:.4f}")
-                for g in lg.groups:
-                    if g.pruned:
-                        assert end[g.index] < lg.schedule.epsilon
+                for g in np.flatnonzero(lg.pruned).tolist():
+                    assert end[g] < lg.schedule.epsilon
                 details.append(f"s{seed}/L{lg.layer}: {m0:.2f}->{m1:.2f}")
         return "- survivor mean L1 grew in " + ", ".join(details)
 

@@ -19,7 +19,12 @@ from increg.config import (
     parse_config,
 )
 from increg.network import build_network
-from increg.scheduler import materialize_reg, run_pruning
+from increg.scheduler import (
+    build_all_groups,
+    groups_to_meta,
+    materialize_reg,
+    run_pruning,
+)
 
 
 class TestConfig:
@@ -227,6 +232,31 @@ class TestCli:
         assert main(["bench", "--out", str(tmp_path),
                      "--pruned", str(tmp_path / "none.ckpt")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def bench_tampered_state(self, pipeline_cfg, capsys, tamper):
+        # a checkpoint of the pipeline net whose saved scheduler state is edited
+        cfg_path, out = pipeline_cfg
+        cfg = parse_config(FAST_PIPELINE)
+        net = build_network(cfg.arch_defs, (10, 1, 1), seed=cfg.seed)
+        meta = groups_to_meta(build_all_groups(net, cfg.schedules, cfg.prune_train))
+        tamper(meta[0])
+        path = os.path.join(os.path.dirname(out), "tampered.ckpt")
+        save_checkpoint(path, net, scheduler=meta)
+        code = main(["bench", "--config", cfg_path, "--out", out, "--pruned", path])
+        return code, capsys.readouterr().err
+
+    def test_truncated_scheduler_list_is_exit_2(self, pipeline_cfg, capsys):
+        def tamper(m):
+            m["pruned"] = m["pruned"][:-1]
+        code, err = self.bench_tampered_state(pipeline_cfg, capsys, tamper)
+        assert code == 2
+        assert "error:" in err and "'pruned'" in err
+
+    def test_missing_scheduler_key_is_exit_2(self, pipeline_cfg, capsys):
+        code, err = self.bench_tampered_state(pipeline_cfg, capsys,
+                                              lambda m: m.pop("epsilon"))
+        assert code == 2
+        assert "error:" in err and "epsilon" in err
 
     def test_verify_theorem(self, tmp_path, capsys):
         assert main(["verify-theorem", "--out", str(tmp_path)]) == 0

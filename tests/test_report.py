@@ -78,11 +78,6 @@ class TestCsv:
         with pytest.raises(ReportError):
             read_csv(p)
 
-    def test_steps_and_rows_at(self):
-        rep = make_report()
-        assert rep.steps() == [0, 10]
-        assert len(rep.rows_at(10)) == 3
-
 
 class TestSummary:
     def test_json_round_trip(self, tmp_path):
