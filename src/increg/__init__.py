@@ -11,11 +11,10 @@ The names below are the pipeline the ``increg`` commands run (see README's
 """
 
 from .checkpoint import CheckpointError
-from .cli import load_dataset, train_network
 from .compact import PlanError, build_plan, compact, count_gflops
 from .config import ConfigError, parse_config
-from .data import DatasetError
-from .network import TrainingDiverged, build_network, evaluate
+from .data import DatasetError, load_dataset
+from .network import TrainingDiverged, build_network, evaluate, train_network
 from .report import ReportError
 from .scheduler import PruneDidNotConverge, ScheduleError, materialize_reg, run_pruning
 from .tensor import GeometryError, ShapeError

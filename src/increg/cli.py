@@ -32,15 +32,8 @@ from .compact import (
     render_table,
     write_bench_report,
 )
-from .network import (
-    TrainingDiverged,
-    build_network,
-    check_loss,
-    evaluate,
-    loss_and_grads,
-    lr_at,
-    sgd_step,
-)
+from .data import load_dataset
+from .network import TrainingDiverged, build_network, evaluate, train_network
 from .tensor import GeometryError, ShapeError
 
 VALIDATION_ERRORS = (
@@ -61,85 +54,10 @@ def _load_config(args) -> cfgmod.RunConfig:
     return cfgmod.load_config(args.config or None, overrides)
 
 
-def load_dataset(cfg: cfgmod.RunConfig):
-    """Resolve the config's dataset into normalized train/val/test arrays.
-
-    Returns (train, val, test, input_shape, means) where each split is an
-    (images, labels) pair and means is the per-channel train mean actually
-    subtracted (None when normalization is off).
-    """
-    ds = cfg.dataset
-    if ds["kind"] == "synthetic":
-        train, val, test = datamod.split_blobs(
-            int(ds["n_train"]), int(ds["n_val"]), int(ds["n_test"]),
-            classes=int(ds["classes"]), shape=tuple(ds["shape"]),
-            noise=float(ds["noise"]), seed=int(ds["seed"]),
-        )
-    elif ds["kind"] == "cifar10":
-        cfgmod.check_files(cfg)
-        train, val, test = datamod.load_cifar10(ds["dir"])
-    else:
-        cfgmod.check_files(cfg)
-        x, y = datamod.load_idx_pair(ds["train_images"], ds["train_labels"])
-        if ds["test_images"]:
-            tx, ty = datamod.load_idx_pair(ds["test_images"], ds["test_labels"])
-        else:
-            tx, ty = x[:0], y[:0]
-        n_val = len(x) // 10
-        train = (x[: len(x) - n_val], y[: len(x) - n_val])
-        val = (x[len(x) - n_val :], y[len(x) - n_val :])
-        test = (tx, ty)
-    means = None
-    if ds["normalize"]:
-        means = datamod.channel_means(train[0])
-        train = (datamod.apply_normalization(train[0], means), train[1])
-        if len(val[0]):
-            val = (datamod.apply_normalization(val[0], means), val[1])
-        if len(test[0]):
-            test = (datamod.apply_normalization(test[0], means), test[1])
-    return train, val, test, train[0].shape[1:], means
-
-
 def _build_net(cfg: cfgmod.RunConfig, input_shape, means):
     net = build_network(cfg.arch_defs, input_shape, seed=cfg.seed)
     if means is not None:
         net.meta["channel_means"] = [float(m) for m in means]
-    return net
-
-
-def train_network(net, x, y, cfg, seed, iters, val=None, log_rows=None,
-                  masks=None, bias_masks=None, phase="train"):
-    """The SGD loop of both train and retrain.
-
-    Draws batches from a fresh stream seeded ``seed`` and steps the lr
-    schedule from 0, whatever ``net.iteration`` is. ``masks``/``bias_masks``
-    (from :func:`scheduler.materialize_reg`) pin pruned weights at zero.
-    Logs one row per epoch when a sink is given. Raises TrainingDiverged,
-    naming ``phase``, at the first non-finite loss.
-    """
-    stream = datamod.batch_iter(x, y, cfg.batch_size, seed)
-    per_epoch = max(len(x) // cfg.batch_size, 1)
-    loss_acc = 0.0
-    for k in range(iters):
-        xb, yb = next(stream)
-        loss, dw, db = loss_and_grads(net, xb, yb)
-        check_loss(net, loss, xb, phase)
-        lr = lr_at(cfg, k)
-        sgd_step(net, dw, db, cfg, lr=lr, masks=masks, bias_masks=bias_masks)
-        loss_acc += loss
-        if log_rows is not None and (k + 1) % per_epoch == 0:
-            row = {
-                "iteration": net.iteration,
-                "epoch": (k + 1) // per_epoch,
-                "lr": lr,
-                "train_loss": loss_acc / per_epoch,
-            }
-            if val is not None and len(val[0]):
-                acc, vloss = evaluate(net, val[0], val[1])
-                row["val_accuracy"] = acc
-                row["val_loss"] = vloss
-            log_rows.append(row)
-            loss_acc = 0.0
     return net
 
 

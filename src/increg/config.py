@@ -239,7 +239,12 @@ def parse_config(user: dict | None) -> RunConfig:
     prune_sec = dict(merged["train"])
     if merged["prune"]["weight_decay"] is not None:
         prune_sec["weight_decay"] = merged["prune"]["weight_decay"]
-    prune_train = _train_config(prune_sec, max_iters=int(merged["prune"]["max_iters"]))
+    prune_iters = int(merged["prune"]["max_iters"])
+    if prune_iters < 1:
+        # the final report and prune read each group's rank averaged over
+        # the iterations, so a prune needs at least one
+        raise ConfigError(f"prune.max_iters must be at least 1, got {prune_iters}")
+    prune_train = _train_config(prune_sec, max_iters=prune_iters)
     retrain_sec = dict(merged["train"])
     retrain_sec.update({k: v for k, v in merged["retrain"].items() if k != "iters"})
     retrain = _train_config(retrain_sec)
@@ -285,15 +290,3 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 def dump_config(cfg: RunConfig) -> str:
     """Render the merged settings, defaults included, as YAML."""
     return yaml.safe_dump(cfg.raw, sort_keys=False)
-
-
-def check_files(cfg: RunConfig) -> None:
-    """Verify that every file the dataset section references exists."""
-    ds = cfg.dataset
-    if ds["kind"] == "cifar10":
-        if not os.path.isdir(ds["dir"]):
-            raise ConfigError(f"cifar10 dir not found: {ds['dir']}")
-    elif ds["kind"] == "idx":
-        for k in ("train_images", "train_labels", "test_images", "test_labels"):
-            if ds[k] and not os.path.exists(ds[k]):
-                raise ConfigError(f"dataset file not found: {ds[k]}")

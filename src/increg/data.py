@@ -158,6 +158,48 @@ def apply_normalization(x: np.ndarray, means: np.ndarray) -> np.ndarray:
     return x - means[:, None, None]
 
 
+def load_dataset(cfg):
+    """Resolve a RunConfig's dataset into normalized train/val/test arrays.
+
+    Returns (train, val, test, input_shape, means) where each split is an
+    (images, labels) pair and means is the per-channel train mean actually
+    subtracted (None when normalization is off).
+    """
+    ds = cfg.dataset
+    if ds["kind"] == "synthetic":
+        train, val, test = split_blobs(
+            int(ds["n_train"]), int(ds["n_val"]), int(ds["n_test"]),
+            classes=int(ds["classes"]), shape=tuple(ds["shape"]),
+            noise=float(ds["noise"]), seed=int(ds["seed"]),
+        )
+    elif ds["kind"] == "cifar10":
+        if not os.path.isdir(ds["dir"]):
+            raise DatasetError(f"cifar10 dir not found: {ds['dir']}")
+        train, val, test = load_cifar10(ds["dir"])
+    else:
+        for k in ("train_images", "train_labels", "test_images", "test_labels"):
+            if ds[k] and not os.path.exists(ds[k]):
+                raise DatasetError(f"dataset file not found: {ds[k]}")
+        x, y = load_idx_pair(ds["train_images"], ds["train_labels"])
+        if ds["test_images"]:
+            tx, ty = load_idx_pair(ds["test_images"], ds["test_labels"])
+        else:
+            tx, ty = x[:0], y[:0]
+        n_val = len(x) // 10
+        train = (x[: len(x) - n_val], y[: len(x) - n_val])
+        val = (x[len(x) - n_val :], y[len(x) - n_val :])
+        test = (tx, ty)
+    means = None
+    if ds["normalize"]:
+        means = channel_means(train[0])
+        train = (apply_normalization(train[0], means), train[1])
+        if len(val[0]):
+            val = (apply_normalization(val[0], means), val[1])
+        if len(test[0]):
+            test = (apply_normalization(test[0], means), test[1])
+    return train, val, test, train[0].shape[1:], means
+
+
 def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, seed: int,
                iters: int | None = None):
     """Deterministic shuffled minibatches; epochs drop the partial tail.

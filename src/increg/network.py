@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import batch_iter
 from .tensor import (
     ConvGeometry,
     GeometryError,
@@ -522,3 +523,39 @@ def evaluate(net: NetworkState, x: np.ndarray, labels: np.ndarray, batch_size: i
         loss_sum += loss * len(xb)
         correct += int((logits.argmax(axis=1) == yb).sum())
     return correct / len(x), loss_sum / len(x)
+
+
+def train_network(net, x, y, cfg, seed, iters, val=None, log_rows=None,
+                  masks=None, bias_masks=None, phase="train"):
+    """The SGD loop of both train and retrain.
+
+    Draws batches from a fresh stream seeded ``seed`` and steps the lr
+    schedule from 0, whatever ``net.iteration`` is. ``masks``/``bias_masks``
+    (from :func:`scheduler.materialize_reg`) pin pruned weights at zero.
+    Logs one row per epoch when a sink is given. Raises TrainingDiverged,
+    naming ``phase``, at the first non-finite loss.
+    """
+    stream = batch_iter(x, y, cfg.batch_size, seed)
+    per_epoch = max(len(x) // cfg.batch_size, 1)
+    loss_acc = 0.0
+    for k in range(iters):
+        xb, yb = next(stream)
+        loss, dw, db = loss_and_grads(net, xb, yb)
+        check_loss(net, loss, xb, phase)
+        lr = lr_at(cfg, k)
+        sgd_step(net, dw, db, cfg, lr=lr, masks=masks, bias_masks=bias_masks)
+        loss_acc += loss
+        if log_rows is not None and (k + 1) % per_epoch == 0:
+            row = {
+                "iteration": net.iteration,
+                "epoch": (k + 1) // per_epoch,
+                "lr": lr,
+                "train_loss": loss_acc / per_epoch,
+            }
+            if val is not None and len(val[0]):
+                acc, vloss = evaluate(net, val[0], val[1])
+                row["val_accuracy"] = acc
+                row["val_loss"] = vloss
+            log_rows.append(row)
+            loss_acc = 0.0
+    return net

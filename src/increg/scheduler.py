@@ -407,7 +407,7 @@ def run_pruning(
     report_stride thins the report to every Nth update step (the first and
     final states are always recorded); it does not change the schedule.
     Fine-tuning is not part of this phase: pass the masks of
-    :func:`materialize_reg` to ``cli.train_network``, as ``increg retrain``
+    :func:`materialize_reg` to ``network.train_network``, as ``increg retrain``
     does.
     """
     if report_stride < 1:

@@ -10,15 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from increg.cli import load_dataset, train_network
 from increg.compact import bench, build_plan, compact, count_gflops
 from increg.config import parse_config
+from increg.data import load_dataset
 from increg.network import (
     build_network,
     evaluate,
     forward,
     loss_and_grads,
     softmax_xent,
+    train_network,
 )
 from increg.scheduler import (
     PruneSchedule,

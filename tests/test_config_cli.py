@@ -2,14 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import yaml
 
+import increg
 from increg.checkpoint import load_checkpoint, save_checkpoint
-from increg.cli import load_dataset, main, train_network
+from increg.cli import main
 from increg.config import (
     ConfigError,
     PRESETS,
@@ -18,7 +21,8 @@ from increg.config import (
     load_config,
     parse_config,
 )
-from increg.network import build_network
+from increg.data import load_dataset
+from increg.network import build_network, train_network
 from increg.scheduler import (
     build_all_groups,
     groups_to_meta,
@@ -227,6 +231,23 @@ class TestCli:
         p.write_text("train: [1, 2\n")
         assert main(["print-config", "--config", str(p)]) == 2
         assert "cannot parse" in capsys.readouterr().err
+
+    def test_zero_prune_iterations_is_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("prune:\n  max_iters: 0\n")
+        assert main(["prune", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "prune.max_iters" in capsys.readouterr().err
+
+    def test_module_entry_point_prints_no_warning(self):
+        # importing the package must not import increg.cli, or runpy warns
+        # when it then runs that module as __main__
+        src = os.path.dirname(os.path.dirname(os.path.abspath(increg.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "increg.cli", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert "usage: increg" in done.stdout
+        assert done.stderr == ""
 
     def test_missing_checkpoint_is_exit_2(self, tmp_path, capsys):
         assert main(["bench", "--out", str(tmp_path),

@@ -25,10 +25,10 @@ import os
 
 import pytest
 
-from increg.cli import load_dataset, train_network
 from increg.compact import build_plan, count_gflops
 from increg.config import parse_config
-from increg.network import build_network, evaluate
+from increg.data import load_dataset
+from increg.network import build_network, evaluate, train_network
 from increg.scheduler import materialize_reg, run_pruning
 
 RUN_LONG = os.environ.get("INCREG_RUN_LONG") == "1"

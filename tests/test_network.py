@@ -256,7 +256,7 @@ class TestTraining:
     def test_blobs_reach_95_percent(self):
         # sanity of the whole stack: a separable task trains to high accuracy
         from increg.data import split_blobs
-        from increg.cli import train_network
+        from increg.network import train_network
 
         train, val, _ = split_blobs(256, 64, 0, classes=3, shape=(1, 8, 8),
                                     noise=0.5, seed=0)

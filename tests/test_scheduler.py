@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import increg.scheduler as sched
 
-from increg.cli import train_network
 from increg.data import make_blobs
 from increg.network import (
     TrainConfig,
@@ -18,6 +17,7 @@ from increg.network import (
     evaluate,
     loss_and_grads,
     sgd_step,
+    train_network,
 )
 from increg.scheduler import (
     GROUP_KINDS,

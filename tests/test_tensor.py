@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from increg.network import apply_layer, build_network, layer_backward
+from increg import tensor
 from increg.tensor import (
     ConvGeometry,
     GeometryError,
@@ -82,6 +84,32 @@ def maxpool_loops(x, dy):
                     y[n, ch, i, j] = x[n, ch][best]
                     dx[n, ch][best] = dy[n, ch, i, j]
     return y, dx
+
+
+def im2col_window_oracle(x, g):
+    """im2col from a strided sliding-window view of the padded batch."""
+    p = g.pad
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    win = sliding_window_view(xp, (g.kernel_h, g.kernel_w), axis=(2, 3))
+    win = win[:, :, :: g.stride, :: g.stride]             # (B, C, Ho, Wo, kh, kw)
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(len(x), g.cols, g.positions)
+
+
+def col2im_bincount_reference(cols, g):
+    """One float64 bincount per sample over indices built here by loops."""
+    hp, wp = g.in_h + 2 * g.pad, g.in_w + 2 * g.pad
+    idx = np.empty((g.cols, g.positions), dtype=np.intp)
+    for col, (c, u, v) in enumerate(col_map(g)):
+        for i in range(g.out_h):
+            for j in range(g.out_w):
+                idx[col, i * g.out_w + j] = ((c * hp + i * g.stride + u) * wp
+                                             + j * g.stride + v)
+    out = np.empty((len(cols), g.in_channels, hp, wp), dtype=cols.dtype)
+    for n in range(len(cols)):
+        flat = np.bincount(idx.ravel(), weights=cols[n].ravel(),
+                           minlength=g.in_channels * hp * wp)
+        out[n] = flat.reshape(g.in_channels, hp, wp)
+    return out[:, :, g.pad : g.pad + g.in_h, g.pad : g.pad + g.in_w]
 
 
 def random_geometry(rng):
@@ -170,6 +198,18 @@ class TestIm2col:
         # the first window covers only the padded corner and x[0,0]
         assert cols[:, 0].tolist() == [0, 0, 0, 1]
 
+    @pytest.mark.parametrize("batch", [1, 33])
+    def test_matches_window_oracle_50_geometries(self, batch):
+        rng = np.random.default_rng(31 + batch)
+        geoms = [random_geometry(rng) for _ in range(50)]
+        assert any(g.stride == 2 for g in geoms) and any(g.pad for g in geoms)
+        for g in geoms:
+            x = rng.standard_normal((batch, g.in_channels, g.in_h, g.in_w)).astype(np.float32)
+            got = im2col_batch(x, g)
+            want = im2col_window_oracle(x, g)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
     def test_gemm_conv_matches_direct_50_geometries(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -197,10 +237,26 @@ class TestIm2col:
     def test_subset_rejects_unsorted(self):
         g = ConvGeometry(in_channels=1, in_h=4, in_w=4, kernel_h=2, kernel_w=2)
         x = np.zeros((1, 1, 4, 4), dtype=np.float32)
-        with pytest.raises(ValueError):
-            im2col_batch(x, g, rows=np.array([2, 1]))
-        with pytest.raises(IndexError):
-            im2col_batch(x, g, rows=np.array([0, 4]))
+        for _ in range(2):  # a rejected row set is never cached
+            with pytest.raises(ValueError):
+                im2col_batch(x, g, rows=np.array([2, 1]))
+            with pytest.raises(IndexError):
+                im2col_batch(x, g, rows=np.array([0, 4]))
+
+    def test_subset_cache_keeps_geometry_and_rows_apart(self):
+        # kept-row gathers are cached per (geometry, row set); alternating
+        # either one must keep returning that pair's own rows
+        rng = np.random.default_rng(12)
+        g1 = ConvGeometry(in_channels=2, in_h=5, in_w=5, kernel_h=2, kernel_w=2)
+        g2 = ConvGeometry(in_channels=2, in_h=5, in_w=5, kernel_h=2, kernel_w=2,
+                          stride=2, pad=1)
+        keeps = (np.array([0, 2, 5]), np.array([1, 2, 3, 7]), [0, 2, 5])
+        for g in (g1, g2, g1):
+            x = rng.standard_normal((3, 2, 5, 5)).astype(np.float32)
+            full = im2col_batch(x, g)
+            for keep in keeps:
+                assert np.array_equal(im2col_batch(x, g, rows=keep),
+                                      full[:, np.asarray(keep), :])
 
     def test_shape_mismatch(self):
         g = ConvGeometry(in_channels=2, in_h=4, in_w=4, kernel_h=2, kernel_w=2)
@@ -253,6 +309,29 @@ class TestCol2im:
         batch = col2im_batch(cols, g)
         for i in range(3):
             assert np.array_equal(batch[i], col2im_batch(cols[i : i + 1], g)[0])
+
+
+    @pytest.mark.parametrize("geom, batch, chunks", [
+        # toy layer 3 (288 entries a sample): the whole batch is one chunk
+        (ConvGeometry(in_channels=8, in_h=4, in_w=4, kernel_h=2, kernel_w=2), 33, 1),
+        # 2,187 entries a sample, 7 samples a chunk: 4 chunks, the last of 1
+        (ConvGeometry(in_channels=3, in_h=9, in_w=9, kernel_h=3, kernel_w=3,
+                      pad=1), 22, 4),
+        # 19,200 entries a sample, more than a chunk holds: one sample a chunk
+        (ConvGeometry(in_channels=3, in_h=16, in_w=16, kernel_h=5, kernel_w=5,
+                      pad=2), 3, 3),
+    ])
+    def test_chunked_scatter_matches_per_sample_bincount(self, geom, batch, chunks):
+        entries = geom.cols * geom.positions
+        per = max(tensor._CHUNK_ENTRIES // entries, 1)
+        assert -(-batch // per) == chunks
+        rng = np.random.default_rng(entries)
+        for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
+            cols = rng.standard_normal((batch, geom.cols, geom.positions)).astype(dtype)
+            got = col2im_batch(cols, geom)
+            want = col2im_bincount_reference(cols, geom)
+            assert got.shape == want.shape and got.dtype == dtype
+            assert np.array_equal(got.view(bits), np.ascontiguousarray(want).view(bits))
 
 
 class TestConvWeightGradient:
