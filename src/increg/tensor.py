@@ -132,7 +132,12 @@ def _row_indices(geom: ConvGeometry, rows: bytes) -> np.ndarray:
     A compacted conv lowers the same kept rows on every call, so the set is
     validated and sliced once per (geometry, row set).
     """
-    keep = _check_index_set(np.frombuffer(rows, dtype=np.intp), geom.cols, "rows")
+    keep = np.frombuffer(rows, dtype=np.intp)
+    if keep.size and (keep.min() < 0 or keep.max() >= geom.cols):
+        raise IndexError(f"rows contains indices outside [0, {geom.cols})")
+    # strictly increasing keeps the x-row <-> kept-column alignment unambiguous
+    if keep.size > 1 and not (np.diff(keep) > 0).all():
+        raise ValueError("rows must be strictly increasing")
     idx = _scatter_indices(geom)[keep]
     idx.flags.writeable = False
     return idx
@@ -204,13 +209,3 @@ def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
             taken |= hit
             dx[:, :, i::2, j::2] = np.where(hit, dy, 0)
     return dx
-
-
-def _check_index_set(indices, limit: int, name: str) -> np.ndarray:
-    # strictly increasing keeps the x-row <-> kept-column alignment unambiguous
-    idx = np.asarray(indices, dtype=np.intp).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= limit):
-        raise IndexError(f"{name} contains indices outside [0, {limit})")
-    if idx.size > 1 and not (np.diff(idx) > 0).all():
-        raise ValueError(f"{name} must be strictly increasing")
-    return idx
