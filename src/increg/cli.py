@@ -28,7 +28,7 @@ from .compact import (
     bench,
     build_plan,
     compact,
-    count_gflops,
+    flops_totals,
     render_table,
     write_bench_report,
 )
@@ -75,10 +75,10 @@ def _fit_and_save(cfg, net, train, val, tcfg, seed, iters, verb, ckpt_name,
                   scheduler=None, masks=None, bias_masks=None) -> int:
     """Run train_network with a per-epoch log, then write ``<verb>_log.csv``
     and the checkpoint; shared by train and retrain."""
-    os.makedirs(cfg.out, exist_ok=True)
     rows: list[dict] = []
     train_network(net, train[0], train[1], tcfg, seed, iters, val=val,
                   log_rows=rows, masks=masks, bias_masks=bias_masks, phase=verb)
+    os.makedirs(cfg.out, exist_ok=True)
     _write_log(rows, os.path.join(cfg.out, f"{verb}_log.csv"))
     path = os.path.join(cfg.out, ckpt_name)
     ckpt.save_checkpoint(path, net, scheduler=scheduler)
@@ -116,11 +116,10 @@ def cmd_prune(args) -> int:
         reportmod.write_summary(e.report, summary_path)
         print(f"pruning did not converge: {e}", file=sys.stderr)
         return 3
-    plan = build_plan(net, groups)
-    flops = count_gflops(net, plan)
-    rep.summary["flops_base"] = flops.total_base
-    rep.summary["flops_pruned"] = flops.total_pruned
-    rep.summary["flops_ratio"] = flops.ratio
+    flops = flops_totals(net, compact(net, build_plan(net, groups)))
+    rep.summary["flops_base"] = flops["total_base"]
+    rep.summary["flops_pruned"] = flops["total_pruned"]
+    rep.summary["flops_ratio"] = flops["ratio"]
     reportmod.write_csv(rep, report_path)
     reportmod.write_summary(rep, summary_path)
     out_path = os.path.join(cfg.out, "pruned.ckpt")
@@ -128,7 +127,7 @@ def cmd_prune(args) -> int:
     for lay in rep.summary["layers"]:
         print(f"layer {lay['layer']}: pruned {lay['pruned']}/{lay['n_groups']} "
               f"{lay['kind']} groups (target {lay['target']})")
-    print(f"FLOPs ratio {flops.ratio:.4f}x; checkpoint: {out_path}")
+    print(f"FLOPs ratio {flops['ratio']:.4f}x; checkpoint: {out_path}")
     return 0
 
 
@@ -154,13 +153,10 @@ def cmd_bench(args) -> int:
     if scheduler_meta is None:
         raise cfgmod.ConfigError(f"{pruned_path} carries no pruning state")
     groups = sched.groups_from_meta(pruned, scheduler_meta)
-    plan = build_plan(pruned, groups)
-    cnet = compact(pruned, plan)
-    flops = count_gflops(pruned, plan)
     rep = bench(
-        pruned, cnet,
+        pruned, compact(pruned, build_plan(pruned, groups)),
         batch=int(cfg.bench["batch"]), repeats=int(cfg.bench["repeats"]),
-        warmup=int(cfg.bench["warmup"]), seed=cfg.seed, flops=flops,
+        warmup=int(cfg.bench["warmup"]), seed=cfg.seed,
     )
     os.makedirs(cfg.out, exist_ok=True)
     out_path = os.path.join(cfg.out, "bench.json")

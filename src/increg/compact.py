@@ -2,12 +2,15 @@
 
 A plan is built from the scheduler's group state and propagated along the
 sequential chain: a pruned filter (row) drops its column block from the next
-conv and its slice from the fc input; a pruned input channel additionally
-retires the producing filter upstream; pruned columns stay local to their
-layer. The compacted network is an ordinary ``NetworkState`` of the kept
-weights, run by ``network.apply_layer``: a conv that lost columns keeps its
-kernel as a lowered matrix and lowers only the input rows those columns
-read (``LayerSpec.keep_cols``), so arbitrary column subsets remain dense.
+conv; a pruned input channel additionally retires the producing filter
+upstream; pruned columns stay local to their layer. The compacted network is
+an ordinary ``NetworkState`` of the kept weights, run by
+``network.apply_layer``: a dead filter of the last conv also drops its slice
+of the fc input, and a conv that lost columns keeps its kernel as a lowered
+matrix and lowers only the input rows those columns read
+(``LayerSpec.keep_cols``), so arbitrary column subsets remain dense. That
+network is the one description of the pruned shape: its FLOPs are counted
+from its own weights, like any network's.
 """
 
 from __future__ import annotations
@@ -36,76 +39,53 @@ class ConvPlan:
 
 
 @dataclass
-class FcPlan:
-    keep_in: np.ndarray
-
-
-@dataclass
 class CompactPlan:
     conv: dict[int, ConvPlan] = field(default_factory=dict)
-    fc: dict[int, FcPlan] = field(default_factory=dict)
-
-
-def _pruned_sets(net: NetworkState, layer_groups: list[LayerGroups]):
-    rows: dict[int, set] = {}
-    cols: dict[int, set] = {}
-    chans: dict[int, set] = {}
-    for lg in layer_groups:
-        # a group's L1-norm is 0 exactly when every weight in it is 0
-        live = np.flatnonzero(lg.pruned & (group_l1(net.weights[lg.layer], lg.kind) != 0))
-        if live.size:
-            raise PlanError(
-                f"layer {lg.layer} group {live[0]} is pruned but has nonzero weights"
-            )
-        bucket = {"row": rows, "column": cols, "channel": chans}[lg.kind]
-        if lg.layer in bucket:
-            raise PlanError(f"layer {lg.layer} appears in two group sets")
-        bucket[lg.layer] = set(np.flatnonzero(lg.pruned).tolist())
-    return rows, cols, chans
 
 
 def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> CompactPlan:
-    """Translate pruned groups into kept index sets for the whole chain."""
-    pruned_rows, pruned_cols, pruned_ch = _pruned_sets(net, layer_groups)
+    """Translate pruned groups into kept filters and columns for every conv.
+
+    Each conv starts with every filter and lowered column kept. A pruned row
+    clears its filter, a pruned column its column, and a pruned channel its
+    block of columns plus, past the first conv, the filter upstream that
+    produces it. A dead filter then clears its channel's block in the next
+    conv.
+    """
     convs = net.conv_indices
-    # a dead input channel retires the filter that produces it
-    for pos, l in enumerate(convs):
-        dead = pruned_ch.get(l)
-        if dead and pos > 0:
-            pruned_rows.setdefault(convs[pos - 1], set()).update(dead)
+    rows = {l: np.ones(net.layers[l].filters, dtype=bool) for l in convs}
+    cols = {l: np.ones(net.layers[l].geom.cols, dtype=bool) for l in convs}
+    seen: set[int] = set()
+    for lg in layer_groups:
+        l = lg.layer
+        # a group's L1-norm is 0 exactly when every weight in it is 0
+        live = np.flatnonzero(lg.pruned & (group_l1(net.weights[l], lg.kind) != 0))
+        if live.size:
+            raise PlanError(f"layer {l} group {live[0]} is pruned but has nonzero weights")
+        if l in seen:
+            raise PlanError(f"layer {l} appears in two group sets")
+        seen.add(l)
+        if lg.kind == "row":
+            rows[l] &= ~lg.pruned
+            continue
+        # column and channel groups both lie along the lowered columns
+        cols[l] &= ~np.broadcast_to(lg.pruned.reshape(lg.layout),
+                                    (1, *net.weights[l].shape[1:])).ravel()
+        if lg.kind == "channel" and l != convs[0]:
+            rows[convs[convs.index(l) - 1]] &= ~lg.pruned
     plan = CompactPlan()
-    prev_keep_rows: np.ndarray | None = None
-    for pos, l in enumerate(convs):
-        spec = net.layers[l]
-        g = spec.geom
-        block = g.kernel_h * g.kernel_w
-        if pos == 0:
-            ch = sorted(set(range(g.in_channels)) - pruned_ch.get(l, set()))
-        else:
-            ch = prev_keep_rows
-            if len(ch) == 0 or ch.max() >= g.in_channels:
-                raise PlanError(f"layer {l}: arriving channels {ch} do not fit {g}")
-        keep_rows = np.array(
-            sorted(set(range(spec.filters)) - pruned_rows.get(l, set())), dtype=np.intp
-        )
-        if len(keep_rows) == 0:
+    arriving = None                     # kept filters of the previous conv
+    for l in convs:
+        g = net.layers[l].geom
+        if arriving is not None:
+            cols[l] &= np.repeat(arriving, g.kernel_h * g.kernel_w)
+        if not rows[l].any():
             raise PlanError(f"layer {l}: every filter pruned, nothing to keep")
-        gone_cols = pruned_cols.get(l, set())
-        keep_cols = [int(c) * block + j for c in ch for j in range(block)
-                     if int(c) * block + j not in gone_cols]
-        if not keep_cols:
+        if not cols[l].any():
             raise PlanError(f"layer {l}: every column pruned, nothing to keep")
-        plan.conv[l] = ConvPlan(keep_rows=keep_rows,
-                                keep_cols=np.array(keep_cols, dtype=np.intp))
-        prev_keep_rows = keep_rows
-    if convs and prev_keep_rows is not None and len(prev_keep_rows) < net.layers[convs[-1]].filters:
-        last = convs[-1]
-        for i, spec in enumerate(net.layers):
-            if spec.kind == "fc" and i > last:
-                hw = spec.in_features // net.layers[last].filters
-                keep_in = (prev_keep_rows[:, None] * hw + np.arange(hw)).ravel()
-                plan.fc[i] = FcPlan(keep_in=keep_in)
-                break
+        plan.conv[l] = ConvPlan(keep_rows=np.flatnonzero(rows[l]),
+                                keep_cols=np.flatnonzero(cols[l]))
+        arriving = rows[l]
     return plan
 
 
@@ -137,9 +117,10 @@ def compact(net: NetworkState, plan: CompactPlan) -> CompactNetwork:
     """Materialize the plan; kept weights are copied bit-for-bit.
 
     The layers are resolved again on the kept filter counts, which gives
-    every later conv and the fc their shrunk inputs. The first conv keeps
-    the full input; like any conv that lost columns, it gets ``keep_cols``,
-    its kept columns renumbered to the channels that reach it.
+    every later conv and the fc their shrunk inputs; the fc keeps the input
+    slices of the last conv's kept filters. The first conv keeps the full
+    input; like any conv that lost columns, it gets ``keep_cols``, its kept
+    columns renumbered to the channels that reach it.
     """
     defs = [layer_def(spec) for spec in net.layers]
     for i in net.conv_indices:
@@ -163,8 +144,10 @@ def compact(net: NetworkState, plan: CompactPlan) -> CompactNetwork:
             w = w.reshape(spec.weight_shape())
             b = None if b is None else b[cp.keep_rows]
             arriving = cp.keep_rows
-        elif i in plan.fc:
-            w = w[:, plan.fc[i].keep_in]
+        elif spec.kind == "fc" and arriving is not None:
+            hw = spec.in_features // len(arriving)
+            w = w[:, (arriving[:, None] * hw + np.arange(hw)).ravel()]
+            arriving = None
         weights.append(None if w is None else w.copy())
         biases.append(None if b is None else b.copy())
     return CompactNetwork(
@@ -176,81 +159,27 @@ def compact(net: NetworkState, plan: CompactPlan) -> CompactNetwork:
     )
 
 
-@dataclass
-class FlopsAccount:
-    """Exact per-layer forward FLOP counts (2 per multiply-accumulate)."""
+def count_gflops(net: NetworkState) -> dict[int, int]:
+    """Exact forward FLOPs (2 per multiply-accumulate) of each parametric layer.
 
-    rows: list[dict] = field(default_factory=list)
-
-    @property
-    def total_base(self) -> int:
-        return sum(r["flops_base"] for r in self.rows)
-
-    @property
-    def total_pruned(self) -> int:
-        return sum(r["flops_pruned"] for r in self.rows)
-
-    @property
-    def conv_base(self) -> int:
-        return sum(r["flops_base"] for r in self.rows if r["kind"] == "conv")
-
-    @property
-    def conv_pruned(self) -> int:
-        return sum(r["flops_pruned"] for r in self.rows if r["kind"] == "conv")
-
-    @property
-    def ratio(self) -> float:
-        return self.total_base / self.total_pruned
-
-    @property
-    def conv_ratio(self) -> float:
-        return self.conv_base / self.conv_pruned
-
-    def layer(self, i: int) -> dict:
-        for r in self.rows:
-            if r["layer"] == i:
-                return r
-        raise KeyError(i)
-
-
-def count_gflops(net: NetworkState, plan: CompactPlan | None = None) -> FlopsAccount:
-    """Integer FLOP counts per parametric layer, before and after the plan.
-
-    Conv: 2 * filters * lowered-columns * output positions; fc: 2 * in * out.
-    Pool and relu layers cost no multiply-accumulates and are omitted.
+    Counted from the network's own weights: a conv costs 2 * w.size * output
+    positions, an fc 2 * w.size, so a compacted network reports its pruned
+    cost. Pool and relu layers cost no multiply-accumulates and are omitted.
     """
-    acct = FlopsAccount()
-    for i, spec in enumerate(net.layers):
-        if spec.kind == "conv":
-            g = spec.geom
-            base = 2 * spec.filters * g.cols * g.positions
-            if plan is not None:
-                cp = plan.conv.get(i)
-                if cp is None:
-                    raise PlanError(f"plan is missing conv layer {i}")
-                pruned = 2 * len(cp.keep_rows) * len(cp.keep_cols) * g.positions
-            else:
-                pruned = base
-            acct.rows.append(
-                {"layer": i, "kind": "conv", "flops_base": base, "flops_pruned": pruned}
-            )
-        elif spec.kind == "fc":
-            base = 2 * spec.in_features * spec.out_features
-            kept_in = spec.in_features
-            if plan is not None and i in plan.fc:
-                kept_in = len(plan.fc[i].keep_in)
-            acct.rows.append(
-                {
-                    "layer": i,
-                    "kind": "fc",
-                    "flops_base": base,
-                    "flops_pruned": 2 * kept_in * spec.out_features,
-                }
-            )
-    for r in acct.rows:
-        if r["flops_pruned"] > r["flops_base"]:
-            raise PlanError(f"layer {r['layer']}: pruned FLOPs exceed baseline")
-    return acct
+    return {i: 2 * net.weights[i].size * (spec.geom.positions if spec.kind == "conv" else 1)
+            for i, spec in enumerate(net.layers) if spec.parametric}
+
+
+def flops_totals(net: NetworkState, cnet: NetworkState) -> dict:
+    """Whole-network and conv-only FLOPs of a network and its compacted form."""
+    base, pruned = count_gflops(net), count_gflops(cnet)
+    convs = net.conv_indices
+    out = {"total_base": sum(base.values()), "total_pruned": sum(pruned.values()),
+           "conv_base": sum(base[i] for i in convs),
+           "conv_pruned": sum(pruned[i] for i in convs)}
+    out["ratio"] = out["total_base"] / out["total_pruned"]
+    out["conv_ratio"] = out["conv_base"] / out["conv_pruned"]
+    return out
 
 
 def _timed_forward(apply, x: np.ndarray, depth: int) -> list[float]:
@@ -270,15 +199,14 @@ def bench(
     repeats: int = 50,
     warmup: int = 5,
     seed: int = 0,
-    flops: FlopsAccount | None = None,
 ) -> dict:
     """Median, IQR and mean wall time per forward pass for both networks.
 
     Each repeat times one masked and then one compacted forward, so drift
-    in the host's speed reaches both sides alike. Layer rows carry FLOP
-    counts when an account is supplied. Times come from a monotonic clock;
-    the report records enough machine metadata to interpret the
-    (machine-dependent) ratios later.
+    in the host's speed reaches both sides alike. Layer rows and the
+    ``flops`` totals carry each network's own FLOP counts. Times come from
+    a monotonic clock; the report records enough machine metadata to
+    interpret the (machine-dependent) ratios later.
     """
     if repeats < 10:
         raise ValueError(f"repeats must be >= 10, got {repeats}")
@@ -309,27 +237,18 @@ def bench(
         row["ratio"] = mb / mp if mp > 0 else float("inf")
         return row
 
-    layers = []
-    for i, spec in enumerate(net.layers):
-        row = {
-            "layer": i,
-            "kind": spec.kind,
-            "flops_base": 0,
-            "flops_pruned": 0,
-            **timing(base[:, i], pruned[:, i]),
-        }
-        if flops is not None and spec.kind in ("conv", "fc"):
-            f = flops.layer(i)
-            row["flops_base"] = f["flops_base"]
-            row["flops_pruned"] = f["flops_pruned"]
-        layers.append(row)
+    flops_base, flops_pruned = count_gflops(net), count_gflops(cnet)
+    layers = [{"layer": i, "kind": spec.kind, "flops_base": flops_base.get(i, 0),
+               "flops_pruned": flops_pruned.get(i, 0), **timing(base[:, i], pruned[:, i])}
+              for i, spec in enumerate(net.layers)]
 
     def totals(mask) -> dict:
         cols = [i for i, spec in enumerate(net.layers) if mask(spec.kind)]
         return timing(base[:, cols].sum(axis=1), pruned[:, cols].sum(axis=1))
 
-    report = {
+    return {
         "layers": layers,
+        "flops": flops_totals(net, cnet),
         "total": totals(lambda k: True),
         "conv_total": totals(lambda k: k == "conv"),
         "metadata": {
@@ -342,16 +261,6 @@ def bench(
             "numpy": np.__version__,
         },
     }
-    if flops is not None:
-        report["flops"] = {
-            "total_base": flops.total_base,
-            "total_pruned": flops.total_pruned,
-            "ratio": flops.ratio,
-            "conv_base": flops.conv_base,
-            "conv_pruned": flops.conv_pruned,
-            "conv_ratio": flops.conv_ratio,
-        }
-    return report
 
 
 def write_bench_report(report: dict, path) -> None:
@@ -377,9 +286,6 @@ def render_table(report: dict) -> str:
             f"{'':>5} {name:<12} {'':>12} {'':>12} {t['ms_base']:>9.4f} "
             f"{t['ms_pruned']:>9.4f} {t['ratio']:>7.2f}"
         )
-    if "flops" in report:
-        f = report["flops"]
-        lines.append(
-            f"FLOPs speedup: total {f['ratio']:.4f}x, conv {f['conv_ratio']:.4f}x"
-        )
+    f = report["flops"]
+    lines.append(f"FLOPs speedup: total {f['ratio']:.4f}x, conv {f['conv_ratio']:.4f}x")
     return "\n".join(lines)

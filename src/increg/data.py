@@ -51,7 +51,7 @@ def parse_idx(path) -> np.ndarray:
     return arr.reshape(dims).astype(dtype.newbyteorder("="))
 
 
-def load_idx_pair(images_path, labels_path, n_classes: int | None = None):
+def load_idx_pair(images_path, labels_path):
     """Load an images+labels IDX pair as ((n,C,H,W) float32, (n,) int64)."""
     images = parse_idx(images_path)
     labels = parse_idx(labels_path)
@@ -66,8 +66,8 @@ def load_idx_pair(images_path, labels_path, n_classes: int | None = None):
             f"{len(images)} images vs {len(labels)} labels in IDX pair"
         )
     y = labels.astype(np.int64)
-    if len(y) and (y.min() < 0 or (n_classes is not None and y.max() >= n_classes)):
-        bad = int(np.argmax((y < 0) | (y >= (n_classes or np.inf))))
+    if len(y) and y.min() < 0:
+        bad = int(np.argmax(y < 0))
         raise DatasetError(f"{labels_path}: label {y[bad]} out of range at record {bad}")
     x = images.astype(np.float32)
     if images.dtype == np.uint8:

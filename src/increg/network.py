@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import batch_iter
+from .data import DatasetError, batch_iter
 from .tensor import (
     ConvGeometry,
     GeometryError,
@@ -500,15 +500,6 @@ def sgd_step(
     return net
 
 
-def predict(net: NetworkState, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Class predictions, streamed in batches."""
-    out = []
-    for lo in range(0, len(x), batch_size):
-        logits, _ = forward(net, x[lo : lo + batch_size])
-        out.append(logits.argmax(axis=1))
-    return np.concatenate(out) if out else np.empty(0, dtype=np.intp)
-
-
 def evaluate(net: NetworkState, x: np.ndarray, labels: np.ndarray, batch_size: int = 256):
     """Mean accuracy and mean loss over a dataset."""
     labels = np.asarray(labels)
@@ -525,6 +516,17 @@ def evaluate(net: NetworkState, x: np.ndarray, labels: np.ndarray, batch_size: i
     return correct / len(x), loss_sum / len(x)
 
 
+def check_labels(net: NetworkState, *splits) -> None:
+    """Raise DatasetError unless every label of each (images, labels) split
+    names one of the network's classes; a split may be None."""
+    n = net.n_classes()
+    for _, y in filter(None, splits):
+        bad = (y < 0) | (y >= n)
+        if bad.any():
+            raise DatasetError(f"label {y[bad][0]} is out of range for a network "
+                               f"with {n} classes")
+
+
 def train_network(net, x, y, cfg, seed, iters, val=None, log_rows=None,
                   masks=None, bias_masks=None, phase="train"):
     """The SGD loop of both train and retrain.
@@ -533,8 +535,10 @@ def train_network(net, x, y, cfg, seed, iters, val=None, log_rows=None,
     schedule from 0, whatever ``net.iteration`` is. ``masks``/``bias_masks``
     (from :func:`scheduler.materialize_reg`) pin pruned weights at zero.
     Logs one row per epoch when a sink is given. Raises TrainingDiverged,
-    naming ``phase``, at the first non-finite loss.
+    naming ``phase``, at the first non-finite loss, and DatasetError
+    before the first step if a label is not one of the net's classes.
     """
+    check_labels(net, (x, y), val)
     stream = batch_iter(x, y, cfg.batch_size, seed)
     per_epoch = max(len(x) // cfg.batch_size, 1)
     loss_acc = 0.0

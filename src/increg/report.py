@@ -74,8 +74,3 @@ def write_summary(report: PruneReport, path) -> None:
     with open(path, "w") as f:
         json.dump(report.summary, f, sort_keys=True, indent=2)
         f.write("\n")
-
-
-def read_summary(path) -> dict:
-    with open(path) as f:
-        return json.load(f)

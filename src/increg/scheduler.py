@@ -23,6 +23,7 @@ from .data import batch_iter
 from .network import (
     NetworkState,
     TrainConfig,
+    check_labels,
     check_loss,
     evaluate,
     loss_and_grads,
@@ -402,7 +403,8 @@ def run_pruning(
     machinery going quiet does not stop training: all cfg.max_iters
     iterations run, so a zero-ratio schedule reproduces plain training
     bitwise. Raises PruneDidNotConverge if any layer misses its target,
-    and TrainingDiverged at the first non-finite loss.
+    TrainingDiverged at the first non-finite loss, and DatasetError before
+    the first step if a label is not one of the net's classes.
 
     report_stride thins the report to every Nth update step (the first and
     final states are always recorded); it does not change the schedule.
@@ -412,6 +414,7 @@ def run_pruning(
     """
     if report_stride < 1:
         raise ValueError(f"report_stride must be >= 1, got {report_stride}")
+    check_labels(net, (x, y), eval_data)
     layer_groups = build_all_groups(net, schedules, cfg)
     seed = net.rng_seed if seed is None else seed
     stream = batch_iter(x, y, cfg.batch_size, seed)

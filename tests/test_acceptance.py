@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from increg.compact import bench, build_plan, compact, count_gflops
+from increg.compact import bench, build_plan, compact, count_gflops, flops_totals
 from increg.config import parse_config
 from increg.data import load_dataset
 from increg.network import (
@@ -303,9 +303,8 @@ def test_criterion_5_flops_and_wall_time(capsys):
         first = net.conv_indices[0]
         lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0), first)
         prune_fraction(net, lg)
-        acct = count_gflops(net, build_plan(net, [lg]))
-        row = acct.layer(first)
-        assert row["flops_base"] / row["flops_pruned"] == 1.0 / (1.0 - 0.25)
+        kept = count_gflops(compact(net, build_plan(net, [lg])))
+        assert count_gflops(net)[first] / kept[first] == 1.0 / (1.0 - 0.25)
 
         # uniform 50% column pruning exactly halves every conv layer
         net = build_network(cfg.arch_defs, (3, 32, 32), seed=0)
@@ -313,15 +312,13 @@ def test_criterion_5_flops_and_wall_time(capsys):
                                cfg.train)
         for lg in lgs:
             prune_fraction(net, lg)
-        plan = build_plan(net, lgs)
-        acct = count_gflops(net, plan)
-        assert acct.conv_ratio == 2.0
+        cnet = compact(net, build_plan(net, lgs))
+        assert flops_totals(net, cnet)["conv_ratio"] == 2.0
+        base, kept = count_gflops(net), count_gflops(cnet)
         for i in net.conv_indices:
-            row = acct.layer(i)
-            assert row["flops_base"] == 2 * row["flops_pruned"]
+            assert base[i] == 2 * kept[i]
 
-        cnet = compact(net, plan)
-        rep = bench(net, cnet, batch=32, repeats=30, warmup=5, flops=acct)
+        rep = bench(net, cnet, batch=32, repeats=30, warmup=5)
         wall = rep["conv_total"]["ratio"]
         meta = rep["metadata"]
         assert meta["platform"] and meta["processor"] and meta["numpy"]

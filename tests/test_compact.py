@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from increg.compact import (
     CompactNetwork,
@@ -11,6 +13,7 @@ from increg.compact import (
     build_plan,
     compact,
     count_gflops,
+    flops_totals,
     render_table,
     write_bench_report,
 )
@@ -171,7 +174,7 @@ class TestForwardEquivalence:
         # fc consumed 6 planes of 2x2; two planes die, their 4-slices go too
         hw = 4
         expect = [c * hw + j for c in (1, 2, 3, 5) for j in range(hw)]
-        assert plan.fc[6].keep_in.tolist() == expect
+        assert np.array_equal(cnet.weights[6], net.weights[6][:, expect])
         assert cnet.weights[6].shape == (5, 16)
         assert cnet.layers[6].in_features == 16
 
@@ -183,7 +186,8 @@ class TestForwardEquivalence:
         # the producing filter of the dead channel dies with it
         assert plan.conv[0].keep_rows.tolist() == [0, 1, 3]
         assert cnet.layers[3].geom.in_channels == 3
-        assert 6 not in plan.fc
+        # the last conv keeps all six filters, so the fc keeps its input
+        assert np.array_equal(cnet.weights[6], net.weights[6])
 
     def test_channel_pruning_on_first_conv_selects_input(self):
         net = chain_net(seed=5)
@@ -246,23 +250,23 @@ class TestForwardEquivalence:
 class TestFlops:
     def test_exact_baseline_counts(self):
         net = chain_net()
-        acct = count_gflops(net)
-        assert acct.layer(0)["flops_base"] == 2 * 4 * 18 * 64
-        assert acct.layer(3)["flops_base"] == 2 * 6 * 36 * 16
-        assert acct.layer(6)["flops_base"] == 2 * 24 * 5
-        assert acct.total_base == 9216 + 6912 + 240
-        assert acct.total_pruned == acct.total_base
-        assert acct.ratio == 1.0
+        flops = count_gflops(net)
+        assert flops == {0: 2 * 4 * 18 * 64, 3: 2 * 6 * 36 * 16, 6: 2 * 24 * 5}
+        totals = flops_totals(net, compact(net, build_plan(net, [])))
+        assert totals["total_base"] == 9216 + 6912 + 240
+        assert totals["total_pruned"] == totals["total_base"]
+        assert totals["ratio"] == 1.0
 
     def test_counts_follow_plan(self):
         net = chain_net(seed=1)
         lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row"), 0)
         prune_indices(net, lg, [1])
-        acct = count_gflops(net, build_plan(net, [lg]))
-        assert acct.layer(0)["flops_pruned"] == 2 * 3 * 18 * 64
-        assert acct.layer(3)["flops_pruned"] == 2 * 6 * 27 * 16
-        assert acct.layer(6)["flops_pruned"] == 2 * 24 * 5
-        assert isinstance(acct.total_pruned, int)
+        cnet = compact(net, build_plan(net, [lg]))
+        flops = count_gflops(cnet)
+        assert flops[0] == 2 * 3 * 18 * 64
+        assert flops[3] == 2 * 6 * 27 * 16
+        assert flops[6] == 2 * 24 * 5
+        assert isinstance(flops_totals(net, cnet)["total_pruned"], int)
 
     def test_half_the_columns_exactly_halves_conv_flops(self):
         net = build_network(ONEBYONE_DEFS, ONEBYONE_SHAPE, seed=2)
@@ -270,16 +274,82 @@ class TestFlops:
                                TrainConfig())
         prune_indices(net, lgs[0], [1, 3, 5, 7, 9])
         prune_indices(net, lgs[1], [0, 2, 4, 6, 8])
-        acct = count_gflops(net, build_plan(net, lgs))
-        assert acct.conv_ratio == 2.0
+        cnet = compact(net, build_plan(net, lgs))
+        totals = flops_totals(net, cnet)
+        assert totals["conv_ratio"] == 2.0
+        base, pruned = count_gflops(net), count_gflops(cnet)
         for i in (0, 2):
-            row = acct.layer(i)
-            assert row["flops_base"] == 2 * row["flops_pruned"]
-        assert acct.ratio < 2.0  # the untouched fc dilutes the total
+            assert base[i] == 2 * pruned[i]
+        assert totals["ratio"] < 2.0  # the untouched fc dilutes the total
 
     def test_missing_conv_layer_rejected(self):
         with pytest.raises(PlanError):
-            count_gflops(chain_net(), CompactPlan())
+            compact(chain_net(), CompactPlan())
+
+
+def zero_pattern_flops(net, kinds):
+    """Exact FLOPs before and after removing all-zero filters and columns.
+
+    The rule of perfbench's independent count: a dead filter retires its
+    channel in the next conv and its slice of the fc input. A pruned channel
+    also retires the filter upstream that produces it, so that filter is
+    zeroed first. None marks a plan with an empty conv.
+    """
+    convs = net.conv_indices
+    ws = {i: net.weights[i].copy() for i in convs}
+    for pos, l in enumerate(convs[1:], 1):
+        if kinds[l] == "channel":
+            ws[convs[pos - 1]][~ws[l].any(axis=(0, 2, 3))] = 0
+    out = dict.fromkeys(("conv_base", "conv_pruned", "total_base", "total_pruned"), 0)
+    alive = None                          # surviving input channels
+    for i, spec in enumerate(net.layers):
+        if spec.kind == "conv":
+            f, _, kh, kw = ws[i].shape
+            flat = ws[i].reshape(f, -1)
+            live_cols = flat.any(axis=0)
+            if alive is not None:
+                live_cols &= np.repeat(alive, kh * kw)
+            alive = flat.any(axis=1)
+            if not (live_cols.any() and alive.any()):
+                return None
+            base = 2 * flat.size * spec.geom.positions
+            kept = 2 * int(alive.sum()) * int(live_cols.sum()) * spec.geom.positions
+            out["conv_base"] += base
+            out["conv_pruned"] += kept
+        elif spec.kind == "fc":
+            out_f, in_f = net.weights[i].shape
+            base = 2 * in_f * out_f
+            kept = 2 * int(alive.sum()) * (in_f // len(alive)) * out_f
+        else:
+            continue
+        out["total_base"] += base
+        out["total_pruned"] += kept
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_prunes_count_from_the_compacted_net(data):
+    net = chain_net(seed=data.draw(st.integers(0, 3)))
+    rng = np.random.default_rng(0)
+    for i in net.conv_indices:
+        net.biases[i][:] = rng.standard_normal(net.biases[i].shape)
+    lgs, kinds = [], {}
+    for i in net.conv_indices:
+        kinds[i] = data.draw(st.sampled_from(["row", "column", "channel"]))
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind=kinds[i]), i)
+        drop = data.draw(st.sets(st.integers(0, lg.n_groups - 1)))
+        lgs.append(prune_indices(net, lg, drop))
+    want = zero_pattern_flops(net, kinds)
+    if want is None:
+        with pytest.raises(PlanError):
+            build_plan(net, lgs)
+        return
+    cnet = compact(net, build_plan(net, lgs))
+    totals = flops_totals(net, cnet)
+    assert {k: totals[k] for k in want} == want
+    x = batch(CHAIN_SHAPE)
+    np.testing.assert_allclose(cnet.forward(x), logits_of(net, x), atol=1e-5, rtol=1e-5)
 
 
 class TestBench:
@@ -289,12 +359,11 @@ class TestBench:
                                TrainConfig())
         prune_indices(net, lgs[0], [0, 1, 2, 3, 4])
         prune_indices(net, lgs[1], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
-        plan = build_plan(net, lgs)
-        return net, compact(net, plan), count_gflops(net, plan)
+        return net, compact(net, build_plan(net, lgs))
 
     def test_report_structure(self):
-        net, cnet, acct = self.make()
-        rep = bench(net, cnet, batch=4, repeats=10, warmup=1, flops=acct)
+        net, cnet = self.make()
+        rep = bench(net, cnet, batch=4, repeats=10, warmup=1)
         assert len(rep["layers"]) == len(net.layers)
         for row in (*rep["layers"], rep["total"], rep["conv_total"]):
             assert row["ms_base"] >= 0.0 and row["ms_pruned"] >= 0.0
@@ -305,7 +374,11 @@ class TestBench:
         meta = rep["metadata"]
         assert meta["batch"] == 4 and meta["repeats"] == 10
         assert meta["platform"] and meta["numpy"]
-        assert rep["flops"]["conv_ratio"] == acct.conv_ratio
+        assert rep["flops"] == flops_totals(net, cnet)
+        base, pruned = count_gflops(net), count_gflops(cnet)
+        for row in rep["layers"]:
+            assert row["flops_base"] == base.get(row["layer"], 0)
+            assert row["flops_pruned"] == pruned.get(row["layer"], 0)
 
     def test_timed_forwards_alternate(self, monkeypatch):
         import importlib
@@ -313,7 +386,7 @@ class TestBench:
         # the package re-exports the function compact(), which shadows the
         # module name as an attribute
         compact_mod = importlib.import_module("increg.compact")
-        net, cnet, _ = self.make()
+        net, cnet = self.make()
         calls = []
         real = compact_mod._timed_forward
         monkeypatch.setattr(compact_mod, "_timed_forward",
@@ -333,20 +406,20 @@ class TestBench:
     def test_report_round_trips_as_json(self, tmp_path):
         import json
 
-        net, cnet, acct = self.make()
-        rep = bench(net, cnet, batch=2, repeats=10, warmup=0, flops=acct)
+        net, cnet = self.make()
+        rep = bench(net, cnet, batch=2, repeats=10, warmup=0)
         path = tmp_path / "bench.json"
         write_bench_report(rep, path)
         assert json.loads(path.read_text()) == json.loads(json.dumps(rep))
 
     def test_too_few_repeats_rejected(self):
-        net, cnet, _ = self.make()
+        net, cnet = self.make()
         with pytest.raises(ValueError):
             bench(net, cnet, repeats=3)
 
     def test_render_table_lists_every_layer(self):
-        net, cnet, acct = self.make()
-        rep = bench(net, cnet, batch=2, repeats=10, warmup=0, flops=acct)
+        net, cnet = self.make()
+        rep = bench(net, cnet, batch=2, repeats=10, warmup=0)
         text = render_table(rep)
         lines = text.splitlines()
         assert "GFLOPs" in lines[0]

@@ -238,6 +238,16 @@ class TestCli:
         assert main(["prune", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "prune.max_iters" in capsys.readouterr().err
 
+    def test_labels_beyond_the_net_are_exit_2(self, tmp_path, capsys):
+        # ten blob classes against the toy preset's four outputs
+        p = tmp_path / "cfg.yaml"
+        p.write_text("dataset:\n  classes: 10\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: label" in err and "4 classes" in err
+        assert not (out / "baseline.ckpt").exists()
+
     def test_module_entry_point_prints_no_warning(self):
         # importing the package must not import increg.cli, or runpy warns
         # when it then runs that module as __main__

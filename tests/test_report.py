@@ -1,12 +1,13 @@
 """Trajectory report validation and exact CSV round trips."""
 
+import json
+
 import pytest
 
 from increg.report import (
     PruneReport,
     ReportError,
     read_csv,
-    read_summary,
     validate_report,
     write_csv,
     write_summary,
@@ -84,4 +85,5 @@ class TestSummary:
         rep = make_report()
         p = tmp_path / "s.json"
         write_summary(rep, p)
-        assert read_summary(p) == rep.summary
+        with open(p) as f:
+            assert json.load(f) == rep.summary
