@@ -88,8 +88,14 @@ def load_checkpoint(path):
     off += jlen
     if meta.get("format") != MAGIC.decode():
         raise CheckpointError(f"metadata format tag mismatch in {path}")
-    input_shape = tuple(meta["input_shape"])
-    layers = resolve_layers(meta["layers"], input_shape)
+    try:
+        input_shape = tuple(meta["input_shape"])
+        layers = resolve_layers(meta["layers"], input_shape)
+        seed, iteration = int(meta["seed"]), int(meta["iteration"])
+    except KeyError as e:
+        raise CheckpointError(f"metadata in {path} lacks {e}") from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"invalid metadata in {path}: {e}") from e
 
     def take(shape) -> np.ndarray:
         nonlocal off
@@ -125,8 +131,8 @@ def load_checkpoint(path):
         biases=biases,
         vel_w=vel_w,
         vel_b=vel_b,
-        rng_seed=int(meta["seed"]),
-        iteration=int(meta["iteration"]),
+        rng_seed=seed,
+        iteration=iteration,
         dtype=np.dtype(np.float32),
         meta=meta.get("meta") or {},
     )

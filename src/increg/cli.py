@@ -55,7 +55,10 @@ def _load_config(args) -> cfgmod.RunConfig:
 
 
 def _build_net(cfg: cfgmod.RunConfig, input_shape, means):
-    net = build_network(cfg.arch_defs, input_shape, seed=cfg.seed)
+    try:
+        net = build_network(cfg.arch_defs, input_shape, seed=cfg.seed)
+    except (IndexError, TypeError, ValueError) as e:
+        raise cfgmod.ConfigError(f"architecture: {e}") from e
     if means is not None:
         net.meta["channel_means"] = [float(m) for m in means]
     return net
@@ -204,26 +207,22 @@ def cmd_report(args) -> int:
     in_path = args.report or os.path.join(cfg.out, "prune_report.csv")
     rep = reportmod.read_csv(in_path)
     os.makedirs(cfg.out, exist_ok=True)
-    layers = sorted({r[1] for r in rep.rows})
+    by_layer: dict[int, list] = {}
+    for snap in rep.snapshots:
+        by_layer.setdefault(snap.layer, []).append(snap)
     plots = []
-    for layer in layers:
-        rows = [r for r in rep.rows if r[1] == layer]
-        steps = sorted({r[0] for r in rows})
-        gids = sorted({r[2] for r in rows})
-        table = {s: {} for s in steps}
-        for r in rows:
-            table[r[0]][r[2]] = r[3]
+    for layer, snaps in sorted(by_layer.items()):
+        n = len(snaps[0].l1)
         path = os.path.join(cfg.out, f"trajectory_layer{layer}.csv")
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["step"] + [f"group{g}" for g in gids])
-            for s in steps:
-                w.writerow([s] + [repr(table[s].get(g, 0.0)) for g in gids])
+            w.writerow(["step"] + [f"group{g}" for g in range(n)])
+            w.writerows([s.step, *s.l1.tolist()] for s in snaps)
         plots.append(
-            f"plot for [c=2:{len(gids) + 1}] 'trajectory_layer{layer}.csv' "
+            f"plot for [c=2:{n + 1}] 'trajectory_layer{layer}.csv' "
             f"using 1:c with lines title columnhead"
         )
-        print(f"layer {layer}: {len(gids)} groups over {len(steps)} steps -> {path}")
+        print(f"layer {layer}: {n} groups over {len(snaps)} steps -> {path}")
     gp_path = os.path.join(cfg.out, "plot_l1.gp")
     with open(gp_path, "w") as f:
         f.write(_GNUPLOT.format(plots="\n".join(plots)))

@@ -22,39 +22,33 @@ class ConfigError(ValueError):
     """A config file is malformed or inconsistent."""
 
 
-PRESETS: dict[str, dict] = {
+PRESETS: dict[str, list[dict]] = {
     # 2-conv net sized so both layers stay at or under 32 lowered columns
-    "toy": {
-        "input_shape": [1, 8, 8],
-        "layers": [
-            {"kind": "conv", "filters": 8, "kernel": 3, "pad": 1},
-            {"kind": "relu"},
-            {"kind": "maxpool"},
-            {"kind": "conv", "filters": 12, "kernel": 2},
-            {"kind": "relu"},
-            {"kind": "fc", "out_features": 4},
-            {"kind": "softmax-xent"},
-        ],
-    },
+    "toy": [
+        {"kind": "conv", "filters": 8, "kernel": 3, "pad": 1},
+        {"kind": "relu"},
+        {"kind": "maxpool"},
+        {"kind": "conv", "filters": 12, "kernel": 2},
+        {"kind": "relu"},
+        {"kind": "fc", "out_features": 4},
+        {"kind": "softmax-xent"},
+    ],
     # small AlexNet-flavored CIFAR stack: strided stem, then two 5x5 convs;
-    # every conv has an even lowered-column count (48/800/800) so a uniform
-    # 50% column cut halves each layer's FLOPs exactly
-    "convnet": {
-        "input_shape": [3, 32, 32],
-        "layers": [
-            {"kind": "conv", "filters": 32, "kernel": 4, "stride": 2, "pad": 1},
-            {"kind": "relu"},
-            {"kind": "maxpool"},
-            {"kind": "conv", "filters": 32, "kernel": 5, "pad": 2},
-            {"kind": "relu"},
-            {"kind": "maxpool"},
-            {"kind": "conv", "filters": 64, "kernel": 5, "pad": 2},
-            {"kind": "relu"},
-            {"kind": "maxpool"},
-            {"kind": "fc", "out_features": 10},
-            {"kind": "softmax-xent"},
-        ],
-    },
+    # every conv has an even lowered-column count (48/800/800) at 3x32x32 so
+    # a uniform 50% column cut halves each layer's FLOPs exactly
+    "convnet": [
+        {"kind": "conv", "filters": 32, "kernel": 4, "stride": 2, "pad": 1},
+        {"kind": "relu"},
+        {"kind": "maxpool"},
+        {"kind": "conv", "filters": 32, "kernel": 5, "pad": 2},
+        {"kind": "relu"},
+        {"kind": "maxpool"},
+        {"kind": "conv", "filters": 64, "kernel": 5, "pad": 2},
+        {"kind": "relu"},
+        {"kind": "maxpool"},
+        {"kind": "fc", "out_features": 10},
+        {"kind": "softmax-xent"},
+    ],
 }
 
 
@@ -140,7 +134,6 @@ class RunConfig:
     out: str
     dataset: dict
     arch_defs: list[dict]
-    input_shape: tuple[int, int, int] | None
     train: TrainConfig
     prune_train: TrainConfig
     schedules: list[PruneSchedule]
@@ -209,18 +202,15 @@ def parse_config(user: dict | None) -> RunConfig:
     if kind == "synthetic":
         if int(ds["classes"]) < 2:
             raise ConfigError("synthetic dataset needs at least 2 classes")
-        input_shape = tuple(int(v) for v in ds["shape"])
-        if len(input_shape) != 3:
+        if len(ds["shape"]) != 3:
             raise ConfigError(f"dataset shape must be (C,H,W), got {ds['shape']}")
     elif kind == "cifar10":
         if not ds["dir"]:
             raise ConfigError("cifar10 dataset needs dir")
-        input_shape = (3, 32, 32)
     else:
         for k in ("train_images", "train_labels"):
             if not ds[k]:
                 raise ConfigError(f"idx dataset needs {k}")
-        input_shape = None  # known once the files are read
 
     arch = merged["architecture"]
     if arch["layers"] is not None:
@@ -231,9 +221,7 @@ def parse_config(user: dict | None) -> RunConfig:
             raise ConfigError(
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )
-        defs = copy.deepcopy(PRESETS[preset]["layers"])
-        if input_shape is None:
-            input_shape = tuple(PRESETS[preset]["input_shape"])
+        defs = copy.deepcopy(PRESETS[preset])
 
     train = _train_config(merged["train"])
     prune_sec = dict(merged["train"])
@@ -254,7 +242,6 @@ def parse_config(user: dict | None) -> RunConfig:
         out=str(merged["out"]),
         dataset=ds,
         arch_defs=defs,
-        input_shape=input_shape,
         train=train,
         prune_train=prune_train,
         schedules=_schedules(merged["prune"]),

@@ -200,12 +200,10 @@ def load_dataset(cfg):
     return train, val, test, train[0].shape[1:], means
 
 
-def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, seed: int,
-               iters: int | None = None):
-    """Deterministic shuffled minibatches; epochs drop the partial tail.
+def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, seed: int):
+    """Deterministic shuffled minibatches, forever; epochs drop the partial tail.
 
-    Yields (xb, yb) pairs forever when iters is None, else exactly iters of
-    them. Order depends only on the seed and batch size.
+    Order depends only on the seed and batch size.
     """
     n = len(x)
     if n != len(y):
@@ -213,12 +211,8 @@ def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, seed: int,
     if batch_size < 1 or batch_size > n:
         raise DatasetError(f"batch_size {batch_size} invalid for {n} examples")
     rng = np.random.Generator(np.random.PCG64(seed))
-    done = 0
-    while iters is None or done < iters:
+    while True:
         perm = rng.permutation(n)
         for lo in range(0, n - batch_size + 1, batch_size):
-            if iters is not None and done >= iters:
-                return
             idx = perm[lo : lo + batch_size]
             yield x[idx], y[idx]
-            done += 1

@@ -9,7 +9,7 @@ for the loss term only; the decay terms are folded in by :func:`sgd_step`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,17 +151,6 @@ class NetworkState:
                 return l.filters
         raise ShapeError("network has no parametric layer")
 
-    def clone(self) -> "NetworkState":
-        return replace(
-            self,
-            layers=[replace(l) for l in self.layers],
-            weights=[None if w is None else w.copy() for w in self.weights],
-            biases=[None if b is None else b.copy() for b in self.biases],
-            vel_w=[None if v is None else v.copy() for v in self.vel_w],
-            vel_b=[None if v is None else v.copy() for v in self.vel_b],
-            meta=dict(self.meta),
-        )
-
 
 def resolve_layers(
     defs: list[dict], input_shape: tuple[int, int, int]
@@ -177,9 +166,12 @@ def resolve_layers(
         raise GeometryError(f"input shape must be (C,H,W) of positive ints: {shape}")
     layers = []
     for pos, d in enumerate(defs):
-        kind = d.get("kind")
+        kind = d.get("kind") if isinstance(d, dict) else None
         if kind not in LAYER_KINDS:
             raise ValueError(f"layer {pos}: unknown kind {kind!r}")
+        need = {"conv": "filters", "fc": "out_features"}.get(kind)
+        if need is not None and need not in d:
+            raise ValueError(f"layer {pos}: {kind} needs {need}")
         if kind == "softmax-xent":
             if pos != len(defs) - 1:
                 raise ValueError("softmax-xent must be the final layer")

@@ -30,7 +30,7 @@ from .network import (
     lr_at,
     sgd_step,
 )
-from .report import PruneReport
+from .report import PruneReport, Snapshot
 
 GROUP_KINDS = ("row", "column", "channel")
 
@@ -374,13 +374,12 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
     return out
 
 
-def _snapshot(rows: list, step: int, layer_groups: list[LayerGroups],
+def _snapshot(snapshots: list, step: int, layer_groups: list[LayerGroups],
               inst: dict[int, np.ndarray]) -> None:
+    # l1, lam and pruned change in place on later steps, so they are copied
     for lg in layer_groups:
-        n = lg.n_groups
-        rows.extend(zip([step] * n, [lg.layer] * n, range(n), lg.l1.tolist(),
-                        lg.lam.tolist(), inst[lg.layer].tolist(),
-                        lg.avg_rank.tolist(), lg.pruned.astype(int).tolist()))
+        snapshots.append(Snapshot(step, lg.layer, lg.l1.copy(), lg.lam.copy(),
+                                  inst[lg.layer], lg.avg_rank, lg.pruned.copy()))
 
 
 def run_pruning(
@@ -418,7 +417,7 @@ def run_pruning(
     layer_groups = build_all_groups(net, schedules, cfg)
     seed = net.rng_seed if seed is None else seed
     stream = batch_iter(x, y, cfg.batch_size, seed)
-    rows: list[tuple] = []
+    snapshots: list[Snapshot] = []
     converged_at: int | None = None
 
     def prune_pass() -> bool:
@@ -451,7 +450,7 @@ def run_pruning(
         snap = [lg for lg in due
                 if k % (lg.schedule.update_interval * report_stride) == 0]
         if snap:
-            _snapshot(rows, t, snap, inst)
+            _snapshot(snapshots, t, snap, inst)
         reg, masks, bias_masks = materialize_reg(net, layer_groups)
         xb, yb = next(stream)
         loss, dw, db = loss_and_grads(net, xb, yb)
@@ -463,7 +462,7 @@ def run_pruning(
     if prune_pass() and converged_at is None:
         converged_at = net.iteration
     inst = {lg.layer: rank_groups(lg.l1) for lg in layer_groups}
-    _snapshot(rows, net.iteration, layer_groups, inst)
+    _snapshot(snapshots, net.iteration, layer_groups, inst)
 
     summary = {
         "converged_iteration": converged_at,
@@ -479,7 +478,7 @@ def run_pruning(
             for lg in layer_groups
         ],
     }
-    report = PruneReport(rows=rows, summary=summary)
+    report = PruneReport(snapshots=snapshots, summary=summary)
     if converged_at is None:
         missing = {
             lg.layer: (lg.pruned_count, lg.target)

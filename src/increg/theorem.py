@@ -54,16 +54,17 @@ def _clip(w: float, domain: tuple[float, float]) -> float:
 def minimize(obj: Objective1D, lam: float, w_init: float) -> LocalMinResult:
     """Locate the local minimum of L(w) + (lam/2) w^2 nearest to w_init.
 
-    Damped Newton first; if it stalls, walk downhill to bracket a sign
-    change of the gradient and bisect. Converged means the gradient
-    magnitude is below 1e-10 with a positive second derivative.
+    Damped Newton, with a downhill step of 0.1 (1 + |w|) where the
+    curvature is not positive, each step halved until Y does not rise.
+    Converged means the gradient magnitude is below 1e-10 with a positive
+    second derivative; MinimizationError if the iteration stalls short of
+    that, for example pinned at the edge of the domain.
     """
     if lam <= 0:
         raise ValueError(f"penalty strength must be positive, got {lam}")
     Y = lambda w: obj.f(w) + 0.5 * lam * w * w
     Yp = lambda w: obj.df(w) + lam * w
     Ypp = lambda w: obj.d2f(w) + lam
-    lo, hi = obj.domain
 
     w = _clip(float(w_init), obj.domain)
     for _ in range(100):
@@ -84,63 +85,11 @@ def minimize(obj: Objective1D, lam: float, w_init: float) -> LocalMinResult:
         if cand == w:
             break
         w = cand
-    else:
-        if abs(Yp(w)) < GRAD_TOL and Ypp(w) > 0:
-            return LocalMinResult(lam, w, Y(w), True)
-
-    # bracket a gradient sign change by walking downhill from w_init
-    w0 = _clip(float(w_init), obj.domain)
-    g0 = Yp(w0)
-    if abs(g0) < GRAD_TOL and Ypp(w0) > 0:
-        return LocalMinResult(lam, w0, Y(w0), True)
-    direction = -math.copysign(1.0, g0)
-    t = 1e-3 * (1.0 + abs(w0))
-    far = w0
-    for _ in range(200):
-        nxt = _clip(w0 + direction * t, obj.domain)
-        if Yp(nxt) * g0 <= 0:
-            far = nxt
-            break
-        if nxt == far:  # pinned at the domain edge, still no sign change
-            raise MinimizationError(
-                f"{obj.name}: no local minimum in domain from {w_init} at lam={lam}"
-            )
-        far = nxt
-        t *= 2.0
-    else:
-        raise MinimizationError(
-            f"{obj.name}: gradient never changes sign from {w_init} at lam={lam}"
-        )
-    a, b = (w0, far) if w0 < far else (far, w0)
-    ga = Yp(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        gm = Yp(mid)
-        if abs(gm) < GRAD_TOL:
-            break
-        if (gm < 0) == (ga < 0):
-            a, ga = mid, gm
-        else:
-            b = mid
-    w = 0.5 * (a + b)
-    for _ in range(50):  # Newton polish inside the bracket
-        g, h = Yp(w), Ypp(w)
-        if abs(g) < GRAD_TOL or h <= 0:
-            break
-        w = _clip(w - g / h, obj.domain)
-    ok = abs(Yp(w)) < GRAD_TOL and Ypp(w) > 0
-    if not ok:
-        raise MinimizationError(
-            f"{obj.name}: stalled at w={w} (grad {Yp(w):.3e}) for lam={lam}"
-        )
-    return LocalMinResult(lam, w, Y(w), True)
-
-
-def stationary_lambda(obj: Objective1D, w: float) -> float:
-    """The penalty strength that makes w stationary: -L'(w)/w."""
-    if w == 0:
-        raise StationarityError("stationarity curve is singular at w = 0")
-    return -obj.df(w) / w
+    if abs(Yp(w)) < GRAD_TOL and Ypp(w) > 0:
+        return LocalMinResult(lam, w, Y(w), True)
+    raise MinimizationError(
+        f"{obj.name}: stalled at w={w} (grad {Yp(w):.3e}) from {w_init} at lam={lam}"
+    )
 
 
 def dlambda_domega(obj: Objective1D, lam0: float, w0: float) -> float:

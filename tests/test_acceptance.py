@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import report_rows
 from increg.compact import bench, build_plan, compact, count_gflops, flops_totals
 from increg.config import parse_config
 from increg.data import load_dataset
@@ -157,10 +158,11 @@ def test_criterion_3_exact_convergence_counts(capsys):
             assert [target_count(ratio, n) for n in (9, 32)] == counts
             assert [lg.pruned_count for lg in lgs] == counts
             assert rep.summary["converged_iteration"] is not None
-            for row in rep.rows:
+            rows = report_rows(rep)
+            for row in rows:
                 assert row[4] >= 0.0       # factor never goes negative
             flags: dict = {}
-            for row in sorted(rep.rows):
+            for row in sorted(rows):
                 prev = flags.get((row[1], row[2]), 0)
                 assert row[7] >= prev      # pruned sets only grow
                 flags[(row[1], row[2])] = row[7]
@@ -337,15 +339,16 @@ def test_criterion_6_survivors_gain_energy(capsys):
         details = []
         for seed in (0, 1, 2):
             _net, rep, lgs, _acc = toy_run(0.5, seed=seed)
-            first = min(r[0] for r in rep.rows)
-            last = max(r[0] for r in rep.rows)
+            rows = report_rows(rep)
+            first = min(r[0] for r in rows)
+            last = max(r[0] for r in rows)
             for lg in lgs:
                 ranks = final_rank(lg)
                 cut = lg.schedule.ratio * lg.n_groups
                 survivors = np.flatnonzero(ranks >= cut).tolist()
-                start = {r[2]: r[3] for r in rep.rows
+                start = {r[2]: r[3] for r in rows
                          if r[0] == first and r[1] == lg.layer}
-                end = {r[2]: r[3] for r in rep.rows
+                end = {r[2]: r[3] for r in rows
                        if r[0] == last and r[1] == lg.layer}
                 m0 = np.mean([start[g] for g in survivors])
                 m1 = np.mean([end[g] for g in survivors])

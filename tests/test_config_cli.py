@@ -1,7 +1,9 @@
 """Config merging/validation and the command-line pipeline end to end."""
 
+import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -35,7 +37,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = parse_config(None)
         assert cfg.seed == 0
-        assert cfg.input_shape == (1, 8, 8)
+        assert cfg.dataset["shape"] == [1, 8, 8]
         assert cfg.train.max_iters == 2000
         assert cfg.train.weight_decay == 0.004
         assert cfg.prune_train.weight_decay == 0.0
@@ -59,10 +61,11 @@ class TestConfig:
             parse_config({"prune": {"rato": 0.5}})
 
     def test_presets_build(self):
-        for name, preset in PRESETS.items():
-            cfg = parse_config({"architecture": {"preset": name},
-                                "dataset": {"shape": preset["input_shape"]}})
-            net = build_network(cfg.arch_defs, cfg.input_shape, seed=0)
+        shapes = {"toy": (1, 8, 8), "convnet": (3, 32, 32)}
+        assert set(shapes) == set(PRESETS)
+        for name, shape in shapes.items():
+            cfg = parse_config({"architecture": {"preset": name}})
+            net = build_network(cfg.arch_defs, shape, seed=0)
             assert net.conv_indices
 
     def test_convnet_preset_has_even_columns(self):
@@ -87,7 +90,7 @@ class TestConfig:
             "dataset": {"shape": [3, 2, 2]},
         })
         assert len(cfg.arch_defs) == 3
-        assert cfg.input_shape == (3, 2, 2)
+        assert load_dataset(cfg)[3] == (3, 2, 2)
 
     def test_per_layer_schedules(self):
         cfg = parse_config({"prune": {"per_layer": [
@@ -160,6 +163,9 @@ class TestConfig:
         assert default_config()["train"]["base_lr"] == 0.05
 
 
+REPORT_HEADER = ("step", "layer", "group_id", "l1", "lambda_g", "inst_rank",
+                 "avg_rank", "pruned")
+
 FAST_PIPELINE = {
     "seed": 5,
     "dataset": {
@@ -194,6 +200,16 @@ FAST_PIPELINE = {
     "retrain": {"iters": 60, "step_every": 30},
     "bench": {"batch": 4, "repeats": 10, "warmup": 1},
 }
+
+
+def read_json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
+def read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
 
 
 @pytest.fixture
@@ -289,6 +305,90 @@ class TestCli:
         assert code == 2
         assert "error:" in err and "epsilon" in err
 
+    @pytest.mark.parametrize("layer", [
+        {"kind": "bogus"},
+        {"kind": "conv", "filters": 0, "kernel": 1},
+        {"kind": "fc"},
+    ], ids=["unknown-kind", "zero-filters", "fc-without-out-features"])
+    def test_bad_inline_layer_is_exit_2(self, tmp_path, capsys, layer):
+        user = yaml.safe_load(yaml.safe_dump(FAST_PIPELINE))
+        user["architecture"]["layers"][2] = layer
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml.safe_dump(user))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(p), "--out", str(out)]) == 2
+        assert "error: architecture: layer 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda m: m["layers"][0].__setitem__("kind", "bogus"), "unknown kind 'bogus'"),
+        (lambda m: m.pop("seed"), "lacks 'seed'"),
+    ], ids=["unknown-kind", "no-seed"])
+    def test_bad_checkpoint_metadata_is_exit_2(self, pipeline_cfg, capsys, edit, says):
+        cfg_path, out = pipeline_cfg
+        cfg = parse_config(FAST_PIPELINE)
+        net = build_network(cfg.arch_defs, (10, 1, 1), seed=cfg.seed)
+        meta = groups_to_meta(build_all_groups(net, cfg.schedules, cfg.prune_train))
+        path = os.path.join(os.path.dirname(out), "edited.ckpt")
+        save_checkpoint(path, net, scheduler=meta)
+        # rewrite the JSON block between the 16-byte header and the tensors
+        with open(path, "rb") as f:
+            raw = f.read()
+        (n,) = struct.unpack_from("<Q", raw, 8)
+        meta = json.loads(raw[16:16 + n])
+        edit(meta)
+        blob = json.dumps(meta).encode()
+        with open(path, "wb") as f:
+            f.write(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+        code = main(["bench", "--config", cfg_path, "--out", out, "--pruned", path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and says in err
+
+    @pytest.mark.parametrize("content, says", [
+        (None, "cannot read"),
+        ((",".join(REPORT_HEADER) + "\n0,0,0,1.0,0.0,zero,0.0,0\n").encode(), "malformed"),
+        (b"INCREG01\xc6\x01\x00", "unexpected CSV header"),
+    ], ids=["missing", "non-numeric", "binary"])
+    def test_bad_report_file_is_exit_2(self, tmp_path, capsys, content, says):
+        path = tmp_path / "prune_report.csv"
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "run"
+        assert main(["report", "--out", str(out), "--report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and says in err
+
+    def test_report_skipping_a_group_id_is_exit_2(self, tmp_path, capsys):
+        # step 0 lists groups 0 and 2 and step 5 only group 1; a gap is an
+        # error, not a trajectory point of 0.0
+        path = tmp_path / "prune_report.csv"
+        path.write_text(",".join(REPORT_HEADER) + "\n"
+                        "0,0,0,1.0,0.0,0,0.0,0\n"
+                        "0,0,2,1.0,0.0,1,1.0,0\n"
+                        "5,0,1,1.0,0.0,0,0.0,0\n")
+        out = tmp_path / "run"
+        assert main(["report", "--out", str(out), "--report", str(path)]) == 2
+        assert "group ids 0..1" in capsys.readouterr().err
+        assert not (out / "trajectory_layer0.csv").exists()
+
+    def test_trajectories_pivot_the_prune_report(self, pipeline_cfg, capsys):
+        cfg_path, out = pipeline_cfg
+        for cmd in ("train", "prune", "report"):
+            assert main([cmd, "--config", cfg_path, "--out", out]) == 0
+        capsys.readouterr()
+        header, *rows = read_rows(os.path.join(out, "prune_report.csv"))
+        assert header == list(REPORT_HEADER)
+        pivot: dict = {}
+        for step, layer, gid, l1, *_ in rows:
+            pivot.setdefault(layer, {}).setdefault(step, {})[int(gid)] = l1
+        assert sorted(pivot) == ["0", "2"]
+        for layer, steps in pivot.items():
+            n = len(next(iter(steps.values())))
+            want = [["step"] + [f"group{g}" for g in range(n)]]
+            want += [[step] + [l1s[g] for g in range(n)] for step, l1s in steps.items()]
+            assert read_rows(os.path.join(out, f"trajectory_layer{layer}.csv")) == want
+
     def test_verify_theorem(self, tmp_path, capsys):
         assert main(["verify-theorem", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -306,8 +406,7 @@ class TestCli:
         assert main(["prune", "--config", cfg_path, "--out", out]) == 0
         prune_out = capsys.readouterr().out
         assert "pruned 5/10 column groups" in prune_out
-        summary = json.loads(
-            open(os.path.join(out, "prune_summary.json")).read())
+        summary = read_json(os.path.join(out, "prune_summary.json"))
         assert summary["converged_iteration"] is not None
         assert summary["flops_ratio"] > 1.5
         assert [l["pruned"] for l in summary["layers"]] == [5, 5]
@@ -327,7 +426,7 @@ class TestCli:
         assert main(["bench", "--config", cfg_path, "--out", out]) == 0
         bench_out = capsys.readouterr().out
         assert "FLOPs speedup" in bench_out
-        rep = json.loads(open(os.path.join(out, "bench.json")).read())
+        rep = read_json(os.path.join(out, "bench.json"))
         assert rep["flops"]["conv_ratio"] == 2.0
         assert rep["metadata"]["platform"]
 
@@ -347,8 +446,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["prune", "--config", str(cfg_path), "--out", out]) == 3
         assert "did not converge" in capsys.readouterr().err
-        summary = json.loads(
-            open(os.path.join(out, "prune_summary.json")).read())
+        summary = read_json(os.path.join(out, "prune_summary.json"))
         assert summary["converged_iteration"] is None
         assert os.path.exists(os.path.join(out, "prune_report.csv"))
 
@@ -409,14 +507,15 @@ class TestCli:
         cfg_path, _ = pipeline_cfg
         outs = [str(tmp_path / "a"), str(tmp_path / "b")]
         for out in outs:
-            for cmd in ("train", "prune", "retrain"):
+            for cmd in ("train", "prune", "retrain", "report"):
                 assert main([cmd, "--config", cfg_path, "--out", out]) == 0
             capsys.readouterr()
         for name in ("baseline.ckpt", "train_log.csv", "pruned.ckpt",
-                     "prune_report.csv", "retrained.ckpt", "retrain_log.csv"):
-            a = open(os.path.join(outs[0], name), "rb").read()
-            b = open(os.path.join(outs[1], name), "rb").read()
-            assert a == b
+                     "prune_report.csv", "retrained.ckpt", "retrain_log.csv",
+                     "trajectory_layer0.csv", "trajectory_layer2.csv", "plot_l1.gp"):
+            with open(os.path.join(outs[0], name), "rb") as a, \
+                    open(os.path.join(outs[1], name), "rb") as b:
+                assert a.read() == b.read()
 
     def test_library_retrain_matches_the_cli(self, pipeline_cfg, capsys):
         # README's library pipeline and the commands give the same model

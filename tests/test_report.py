@@ -2,11 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from helpers import report_rows
 from increg.report import (
     PruneReport,
     ReportError,
+    Snapshot,
     read_csv,
     validate_report,
     write_csv,
@@ -14,18 +17,21 @@ from increg.report import (
 )
 
 
+def snap(step, layer, l1, lam, inst, avg, pruned):
+    return Snapshot(step, layer, np.array(l1, float), np.array(lam, float),
+                    np.array(inst), np.array(avg, float), np.array(pruned))
+
+
 def make_report():
-    rows = [
-        (0, 0, 0, 1.5, 0.0, 1, 1.0, 0),
-        (0, 0, 1, 0.5, 0.002, 0, 0.0, 0),
-        (0, 3, 0, 2.25, 0.0, 0, 0.0, 0),
-        (10, 0, 0, 1.4000001, 0.0, 1, 1.0, 0),
-        (10, 0, 1, 0.0, 0.1, 0, 0.0, 1),
-        (10, 3, 0, 2.2, 0.0, 0, 0.0, 0),
+    snapshots = [
+        snap(0, 0, [1.5, 0.5], [0.0, 0.002], [1, 0], [1.0, 0.0], [0, 0]),
+        snap(0, 3, [2.25], [0.0], [0], [0.0], [0]),
+        snap(10, 0, [1.4000001, 0.0], [0.0, 0.1], [1, 0], [1.0, 0.0], [0, 1]),
+        snap(10, 3, [2.2], [0.0], [0], [0.0], [0]),
     ]
     summary = {"converged_iteration": 10, "layers": [
         {"layer": 0, "n_groups": 2, "target": 1, "pruned": 1}]}
-    return PruneReport(rows=rows, summary=summary)
+    return PruneReport(snapshots=snapshots, summary=summary)
 
 
 class TestValidate:
@@ -34,26 +40,32 @@ class TestValidate:
 
     def test_rejects_unsorted_rows(self):
         rep = make_report()
-        rep.rows[0], rep.rows[1] = rep.rows[1], rep.rows[0]
+        rep.snapshots[0], rep.snapshots[1] = rep.snapshots[1], rep.snapshots[0]
         with pytest.raises(ReportError):
             validate_report(rep)
 
     def test_rejects_negative_l1(self):
         rep = make_report()
-        rep.rows[2] = (0, 3, 0, -1.0, 0.0, 0, 0.0, 0)
+        rep.snapshots[1] = snap(0, 3, [-1.0], [0.0], [0], [0.0], [0])
         with pytest.raises(ReportError):
             validate_report(rep)
 
     def test_rejects_negative_lambda(self):
         rep = make_report()
-        rep.rows[2] = (0, 3, 0, 1.0, -0.001, 0, 0.0, 0)
+        rep.snapshots[1] = snap(0, 3, [1.0], [-0.001], [0], [0.0], [0])
         with pytest.raises(ReportError):
             validate_report(rep)
 
     def test_rejects_bad_pruned_flag(self):
         rep = make_report()
-        rep.rows[2] = (0, 3, 0, 1.0, 0.0, 0, 0.0, 2)
+        rep.snapshots[1] = snap(0, 3, [1.0], [0.0], [0], [0.0], [2])
         with pytest.raises(ReportError):
+            validate_report(rep)
+
+    def test_rejects_changed_group_count(self):
+        rep = make_report()
+        rep.snapshots[3] = snap(10, 3, [2.2, 1.0], [0.0, 0.0], [1, 0], [0.0, 1.0], [0, 0])
+        with pytest.raises(ReportError, match="layer 3"):
             validate_report(rep)
 
 
@@ -63,21 +75,46 @@ class TestCsv:
         p = tmp_path / "r.csv"
         write_csv(rep, p)
         back = read_csv(p)
-        assert back.rows == rep.rows
+        assert report_rows(back) == report_rows(rep)
 
     def test_floats_survive_exactly(self, tmp_path):
         # repr round-trips any float, including awkward ones
         rows = [(0, 0, 0, 0.1 + 0.2, 1e-300, 0, 2 / 3, 0)]
-        rep = PruneReport(rows=rows, summary={})
+        rep = PruneReport(snapshots=[snap(0, 0, [0.1 + 0.2], [1e-300], [0], [2 / 3], [0])])
         p = tmp_path / "f.csv"
         write_csv(rep, p)
-        assert read_csv(p).rows == rows
+        assert report_rows(read_csv(p)) == rows
 
     def test_rejects_malformed_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("step,layer\n0,0\n")
         with pytest.raises(ReportError):
             read_csv(p)
+
+    def test_header_only_gives_no_snapshots(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        write_csv(PruneReport(), p)
+        assert read_csv(p).snapshots == []
+
+    @pytest.mark.parametrize("gids", [(0, 2), (1, 0), (0, 1, 1)])
+    def test_rejects_group_ids_other_than_0_to_n(self, tmp_path, gids):
+        p = tmp_path / "gap.csv"
+        p.write_text("step,layer,group_id,l1,lambda_g,inst_rank,avg_rank,pruned\n"
+                     + "".join(f"0,0,{g},1.0,0.0,0,0.0,0\n" for g in gids))
+        with pytest.raises(ReportError, match="group ids"):
+            read_csv(p)
+
+    @pytest.mark.parametrize("cell", ["x", "1.5", ""])
+    def test_rejects_unreadable_cell(self, tmp_path, cell):
+        p = tmp_path / "cell.csv"
+        p.write_text("step,layer,group_id,l1,lambda_g,inst_rank,avg_rank,pruned\n"
+                     f"0,0,0,1.0,0.0,{cell},0.0,0\n")
+        with pytest.raises(ReportError, match="malformed"):
+            read_csv(p)
+
+    def test_missing_file_is_report_error(self, tmp_path):
+        with pytest.raises(ReportError, match="cannot read"):
+            read_csv(tmp_path / "absent.csv")
 
 
 class TestSummary:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import increg.scheduler as sched
 
+from helpers import report_rows
 from increg.data import make_blobs
 from increg.network import (
     TrainConfig,
@@ -166,7 +167,7 @@ class TestRanking:
         sch = PruneSchedule(ratio=0.5, speed=0.5, update_interval=1)
         with pytest.raises(PruneDidNotConverge) as e:
             run_pruning(net, x, y, cfg, [sch], seed=11)
-        rows = e.value.report.rows
+        rows = report_rows(e.value.report)
         for lg in e.value.groups:
             assert lg.rank_count == 40
             for gid in range(lg.n_groups):
@@ -661,9 +662,10 @@ class TestRunPruning:
 
     def test_report_invariants(self):
         _, report, _ = self.run()
-        steps = sorted({r[0] for r in report.rows})
+        rows = report_rows(report)
+        steps = sorted({r[0] for r in rows})
         pruned_per_step = {}
-        for step, layer, _, l1, lam, _, _, pruned in report.rows:
+        for step, layer, _, l1, lam, _, _, pruned in rows:
             assert lam >= 0.0
             assert l1 >= 0.0
             pruned_per_step.setdefault(layer, {}).setdefault(step, 0)
@@ -676,8 +678,9 @@ class TestRunPruning:
 
     def test_pruned_groups_keep_zero_l1_in_ranking(self):
         _, report, _ = self.run()
-        last = max(r[0] for r in report.rows)
-        final = [r for r in report.rows if r[0] == last]
+        rows = report_rows(report)
+        last = max(r[0] for r in rows)
+        final = [r for r in rows if r[0] == last]
         for _, _, _, l1, _, rank, _, pruned in final:
             if pruned:
                 assert l1 == 0.0
@@ -703,22 +706,23 @@ class TestRunPruning:
     def test_report_stride_thins_rows_without_changing_dynamics(self):
         net1, rep1, _ = self.run()
         net2, rep2, _ = self.run(report_stride=10)
-        assert len(rep2.rows) < len(rep1.rows)
+        rows1, rows2 = report_rows(rep1), report_rows(rep2)
+        assert len(rows2) < len(rows1)
         for i in net1.parametric_indices:
             assert np.array_equal(net1.weights[i], net2.weights[i])
-        steps1 = {r[0] for r in rep1.rows}
-        steps2 = {r[0] for r in rep2.rows}
+        steps1 = {r[0] for r in rows1}
+        steps2 = {r[0] for r in rows2}
         assert steps2 <= steps1
         assert min(steps1) in steps2 and max(steps1) in steps2
         # rows recorded by both runs agree exactly
-        at0 = sorted(r for r in rep1.rows if r[0] == 0)
-        assert at0 == sorted(r for r in rep2.rows if r[0] == 0)
+        at0 = sorted(r for r in rows1 if r[0] == 0)
+        assert at0 == sorted(r for r in rows2 if r[0] == 0)
 
     def test_non_convergence_raises_with_partial_state(self):
         with pytest.raises(PruneDidNotConverge) as e:
             self.run(max_iters=30)
         assert "30 iterations" in str(e.value)
-        assert len(e.value.report.rows) > 0
+        assert len(report_rows(e.value.report)) > 0
         assert e.value.report.summary["converged_iteration"] is None
         assert any(not lg.finished for lg in e.value.groups)
 
@@ -907,7 +911,7 @@ class TestPerGroupReference:
 
         report, lgs, got_factors = drive(net, schedules, seq, report_stride=stride)
 
-        assert [tuple(map(repr, r)) for r in report.rows] == \
+        assert [tuple(map(repr, r)) for r in report_rows(report)] == \
             [tuple(map(repr, r)) for r in rows]
         assert report.summary["converged_iteration"] == converged
         assert len(got_factors) == len(factors) == iters

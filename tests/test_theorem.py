@@ -13,7 +13,6 @@ from increg.theorem import (
     dlambda_domega,
     minimize,
     objective_library,
-    stationary_lambda,
     theorem1_suite,
     write_continuation_csv,
 )
@@ -107,13 +106,6 @@ class TestMinimize:
 
 
 class TestStationarity:
-    def test_lambda_from_weight(self):
-        quad = lib()["quadratic"]
-        assert stationary_lambda(quad, 2.0 / 3.0) == pytest.approx(1.0, rel=1e-12)
-        assert stationary_lambda(quad, 0.5) == pytest.approx(2.0, rel=1e-12)
-        with pytest.raises(StationarityError):
-            stationary_lambda(quad, 0.0)
-
     def test_slope_closed_form(self):
         # for the quadratic at (lam=1, w=2/3): -(2 + 1)/(2/3) = -4.5
         quad = lib()["quadratic"]
