@@ -35,9 +35,12 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, net: NetworkState, scheduler: dict | None = None) -> None:
-    """Write a checkpoint; only float32 networks are storable."""
+    """Write a checkpoint; only float32, uncompacted networks are storable."""
     if net.dtype != np.dtype(np.float32):
         raise CheckpointError(f"checkpoints store float32 networks, got {net.dtype}")
+    if any(l.keep_cols is not None for l in net.layers):
+        # the layer list cannot carry keep_cols, so the file would not load
+        raise CheckpointError("checkpoints cannot store a compacted network")
     meta = {
         "format": MAGIC.decode(),
         "layers": [layer_def(l) for l in net.layers],

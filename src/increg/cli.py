@@ -74,12 +74,12 @@ def _write_log(rows: list[dict], path) -> None:
                         for k, v in r.items()})
 
 
-def _fit_and_save(cfg, net, train, val, tcfg, seed, iters, verb, ckpt_name,
+def _fit_and_save(cfg, net, train, val, tcfg, seed, verb, ckpt_name,
                   scheduler=None, masks=None, bias_masks=None) -> int:
     """Run train_network with a per-epoch log, then write ``<verb>_log.csv``
     and the checkpoint; shared by train and retrain."""
     rows: list[dict] = []
-    train_network(net, train[0], train[1], tcfg, seed, iters, val=val,
+    train_network(net, train[0], train[1], tcfg, seed, val=val,
                   log_rows=rows, masks=masks, bias_masks=bias_masks, phase=verb)
     os.makedirs(cfg.out, exist_ok=True)
     _write_log(rows, os.path.join(cfg.out, f"{verb}_log.csv"))
@@ -87,7 +87,7 @@ def _fit_and_save(cfg, net, train, val, tcfg, seed, iters, verb, ckpt_name,
     ckpt.save_checkpoint(path, net, scheduler=scheduler)
     if len(val[0]):
         acc, _ = evaluate(net, val[0], val[1])
-        print(f"{verb}ed {iters} iterations, val accuracy {acc:.4f}")
+        print(f"{verb}ed {tcfg.max_iters} iterations, val accuracy {acc:.4f}")
     print(f"checkpoint: {path}")
     return 0
 
@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
     train, val, _test, input_shape, means = load_dataset(cfg)
     net = _build_net(cfg, input_shape, means)
     return _fit_and_save(cfg, net, train, val, cfg.train, cfg.seed,
-                         cfg.train.max_iters, "train", "baseline.ckpt")
+                         "train", "baseline.ckpt")
 
 
 def cmd_prune(args) -> int:
@@ -144,9 +144,8 @@ def cmd_retrain(args) -> int:
     groups = sched.groups_from_meta(net, scheduler_meta)
     _, masks, bias_masks = sched.materialize_reg(net, groups)
     return _fit_and_save(cfg, net, train, val, cfg.retrain, cfg.seed + 1,
-                         cfg.retrain_iters, "retrain", "retrained.ckpt",
-                         scheduler=scheduler_meta, masks=masks,
-                         bias_masks=bias_masks)
+                         "retrain", "retrained.ckpt", scheduler=scheduler_meta,
+                         masks=masks, bias_masks=bias_masks)
 
 
 def cmd_bench(args) -> int:

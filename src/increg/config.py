@@ -137,26 +137,25 @@ class RunConfig:
     train: TrainConfig
     prune_train: TrainConfig
     schedules: list[PruneSchedule]
-    retrain_iters: int
     retrain: TrainConfig
     report_stride: int = 1
     bench: dict = field(default_factory=dict)
 
 
-def _train_config(sec: dict, max_iters: int | None = None) -> TrainConfig:
+def _train_config(name: str, sec: dict) -> TrainConfig:
     try:
         return TrainConfig(
             base_lr=float(sec["base_lr"]),
             momentum=float(sec["momentum"]),
             weight_decay=float(sec["weight_decay"]),
             batch_size=int(sec["batch_size"]),
-            max_iters=int(sec["max_iters"] if max_iters is None else max_iters),
+            max_iters=int(sec["max_iters"]),
             lr_schedule=str(sec["lr_schedule"]),
             step_factor=float(sec["step_factor"]),
             step_every=int(sec["step_every"]),
         )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{name}: {e}") from e
 
 
 def _schedules(sec: dict) -> list[PruneSchedule]:
@@ -202,8 +201,10 @@ def parse_config(user: dict | None) -> RunConfig:
     if kind == "synthetic":
         if int(ds["classes"]) < 2:
             raise ConfigError("synthetic dataset needs at least 2 classes")
-        if len(ds["shape"]) != 3:
-            raise ConfigError(f"dataset shape must be (C,H,W), got {ds['shape']}")
+        shape = ds["shape"]
+        if not (isinstance(shape, (list, tuple)) and len(shape) == 3 and all(
+                isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in shape)):
+            raise ConfigError(f"dataset shape must be (C,H,W) of positive ints, got {shape!r}")
     elif kind == "cifar10":
         if not ds["dir"]:
             raise ConfigError("cifar10 dataset needs dir")
@@ -214,7 +215,9 @@ def parse_config(user: dict | None) -> RunConfig:
 
     arch = merged["architecture"]
     if arch["layers"] is not None:
-        defs = list(arch["layers"])
+        defs = arch["layers"]
+        if not (isinstance(defs, list) and all(isinstance(d, dict) for d in defs)):
+            raise ConfigError(f"architecture.layers must be a list of mappings, got {defs!r}")
     else:
         preset = arch["preset"]
         if preset not in PRESETS:
@@ -223,7 +226,7 @@ def parse_config(user: dict | None) -> RunConfig:
             )
         defs = copy.deepcopy(PRESETS[preset])
 
-    train = _train_config(merged["train"])
+    train = _train_config("train", merged["train"])
     prune_sec = dict(merged["train"])
     if merged["prune"]["weight_decay"] is not None:
         prune_sec["weight_decay"] = merged["prune"]["weight_decay"]
@@ -232,10 +235,10 @@ def parse_config(user: dict | None) -> RunConfig:
         # the final report and prune read each group's rank averaged over
         # the iterations, so a prune needs at least one
         raise ConfigError(f"prune.max_iters must be at least 1, got {prune_iters}")
-    prune_train = _train_config(prune_sec, max_iters=prune_iters)
-    retrain_sec = dict(merged["train"])
-    retrain_sec.update({k: v for k, v in merged["retrain"].items() if k != "iters"})
-    retrain = _train_config(retrain_sec)
+    prune_train = _train_config("prune", {**prune_sec, "max_iters": prune_iters})
+    retrain_sec = {**merged["train"], **merged["retrain"]}
+    retrain_sec["max_iters"] = retrain_sec.pop("iters")
+    retrain = _train_config("retrain", retrain_sec)
     return RunConfig(
         raw=merged,
         seed=seed,
@@ -245,7 +248,6 @@ def parse_config(user: dict | None) -> RunConfig:
         train=train,
         prune_train=prune_train,
         schedules=_schedules(merged["prune"]),
-        retrain_iters=int(merged["retrain"]["iters"]),
         retrain=retrain,
         report_stride=int(merged["prune"]["report_stride"]),
         bench=dict(merged["bench"]),

@@ -101,7 +101,8 @@ class TrainConfig:
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.batch_size < 1 or self.max_iters < 0:
-            raise ValueError("batch_size must be >= 1 and max_iters >= 0")
+            raise ValueError(f"batch_size must be >= 1 and max_iters >= 0, got "
+                             f"{self.batch_size} and {self.max_iters}")
         if self.lr_schedule not in ("fixed", "step"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.lr_schedule == "step" and (self.step_factor <= 0 or self.step_every < 1):
@@ -519,27 +520,28 @@ def check_labels(net: NetworkState, *splits) -> None:
                                f"with {n} classes")
 
 
-def train_network(net, x, y, cfg, seed, iters, val=None, log_rows=None,
-                  masks=None, bias_masks=None, phase="train"):
-    """The SGD loop of both train and retrain.
+def _sgd_loop(net, x, y, cfg, seed, phase, terms, val=None, log_rows=None):
+    """The one SGD loop: ``cfg.max_iters`` steps of momentum SGD.
 
     Draws batches from a fresh stream seeded ``seed`` and steps the lr
-    schedule from 0, whatever ``net.iteration`` is. ``masks``/``bias_masks``
-    (from :func:`scheduler.materialize_reg`) pin pruned weights at zero.
-    Logs one row per epoch when a sink is given. Raises TrainingDiverged,
-    naming ``phase``, at the first non-finite loss, and DatasetError
-    before the first step if a label is not one of the net's classes.
+    schedule from the phase's own step 0, whatever ``net.iteration`` is.
+    Before step k, ``terms(k)`` returns that step's ``(reg, masks,
+    bias_masks)`` for :func:`sgd_step`. Logs one row per epoch when a sink
+    is given. Raises TrainingDiverged, naming ``phase``, at the first
+    non-finite loss, and DatasetError before the first step if a label is
+    not one of the net's classes.
     """
     check_labels(net, (x, y), val)
     stream = batch_iter(x, y, cfg.batch_size, seed)
     per_epoch = max(len(x) // cfg.batch_size, 1)
     loss_acc = 0.0
-    for k in range(iters):
+    for k in range(cfg.max_iters):
+        reg, masks, bias_masks = terms(k)
         xb, yb = next(stream)
         loss, dw, db = loss_and_grads(net, xb, yb)
         check_loss(net, loss, xb, phase)
         lr = lr_at(cfg, k)
-        sgd_step(net, dw, db, cfg, lr=lr, masks=masks, bias_masks=bias_masks)
+        sgd_step(net, dw, db, cfg, lr=lr, reg=reg, masks=masks, bias_masks=bias_masks)
         loss_acc += loss
         if log_rows is not None and (k + 1) % per_epoch == 0:
             row = {
@@ -555,3 +557,15 @@ def train_network(net, x, y, cfg, seed, iters, val=None, log_rows=None,
             log_rows.append(row)
             loss_acc = 0.0
     return net
+
+
+def train_network(net, x, y, cfg, seed, val=None, log_rows=None,
+                  masks=None, bias_masks=None, phase="train"):
+    """Train and retrain: ``cfg.max_iters`` steps of the SGD loop.
+
+    ``masks``/``bias_masks`` (from :func:`scheduler.materialize_reg`) pin
+    pruned weights at zero on every step. See :func:`_sgd_loop` for the
+    batch stream, the lr schedule, the per-epoch log and the errors.
+    """
+    return _sgd_loop(net, x, y, cfg, seed, phase,
+                     lambda k: (None, masks, bias_masks), val, log_rows)

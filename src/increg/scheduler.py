@@ -19,17 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import batch_iter
-from .network import (
-    NetworkState,
-    TrainConfig,
-    check_labels,
-    check_loss,
-    evaluate,
-    loss_and_grads,
-    lr_at,
-    sgd_step,
-)
+from .network import NetworkState, TrainConfig, _sgd_loop, evaluate
 from .report import PruneReport, Snapshot
 
 GROUP_KINDS = ("row", "column", "channel")
@@ -395,13 +385,16 @@ def run_pruning(
 ) -> tuple[NetworkState, PruneReport, list[LayerGroups]]:
     """Train for cfg.max_iters while driving per-group factors.
 
-    Every iteration: refresh norms, prune converged groups (capped at each
-    layer's remaining target), record instantaneous ranks. At each layer's
-    update interval, move factors by the rank law; once a layer hits its
-    target its surviving factors are stepped back to zero. The factor
-    machinery going quiet does not stop training: all cfg.max_iters
-    iterations run, so a zero-ratio schedule reproduces plain training
-    bitwise. Raises PruneDidNotConverge if any layer misses its target,
+    The steps are those of the SGD loop that train and retrain run, with
+    the lr counted from this phase's step 0. Before every step: refresh
+    norms, prune converged groups (capped at each layer's remaining
+    target), record instantaneous ranks. At each layer's update interval,
+    move factors by the rank law; once a layer hits its target its
+    surviving factors are stepped back to zero. The step then applies the
+    factors and keep-masks of :func:`materialize_reg`. The factor machinery
+    going quiet does not stop training: all cfg.max_iters iterations run,
+    so a zero-ratio schedule reproduces ``network.train_network`` bitwise.
+    Raises PruneDidNotConverge if any layer misses its target,
     TrainingDiverged at the first non-finite loss, and DatasetError before
     the first step if a label is not one of the net's classes.
 
@@ -413,10 +406,7 @@ def run_pruning(
     """
     if report_stride < 1:
         raise ValueError(f"report_stride must be >= 1, got {report_stride}")
-    check_labels(net, (x, y), eval_data)
     layer_groups = build_all_groups(net, schedules, cfg)
-    seed = net.rng_seed if seed is None else seed
-    stream = batch_iter(x, y, cfg.batch_size, seed)
     snapshots: list[Snapshot] = []
     converged_at: int | None = None
 
@@ -427,7 +417,8 @@ def run_pruning(
                 prune_converged(net, lg, max_new=lg.target - lg.pruned_count)
         return all(lg.finished for lg in layer_groups)
 
-    for k in range(cfg.max_iters):
+    def terms(k: int):
+        nonlocal converged_at
         t = net.iteration
         if prune_pass() and converged_at is None:
             converged_at = t
@@ -451,12 +442,10 @@ def run_pruning(
                 if k % (lg.schedule.update_interval * report_stride) == 0]
         if snap:
             _snapshot(snapshots, t, snap, inst)
-        reg, masks, bias_masks = materialize_reg(net, layer_groups)
-        xb, yb = next(stream)
-        loss, dw, db = loss_and_grads(net, xb, yb)
-        check_loss(net, loss, xb, "prune")
-        sgd_step(net, dw, db, cfg, lr=lr_at(cfg, t), reg=reg,
-                 masks=masks, bias_masks=bias_masks)
+        return materialize_reg(net, layer_groups)
+
+    _sgd_loop(net, x, y, cfg, net.rng_seed if seed is None else seed, "prune",
+              terms, val=eval_data)
 
     # the last step may have pushed the final groups under the threshold
     if prune_pass() and converged_at is None:

@@ -39,24 +39,16 @@ class Objective1D:
     inits: tuple[float, ...] = (1.0,)
 
 
-@dataclass(frozen=True)
-class LocalMinResult:
-    lam: float
-    omega_star: float
-    value: float
-    converged: bool
-
-
 def _clip(w: float, domain: tuple[float, float]) -> float:
     return min(max(w, domain[0]), domain[1])
 
 
-def minimize(obj: Objective1D, lam: float, w_init: float) -> LocalMinResult:
-    """Locate the local minimum of L(w) + (lam/2) w^2 nearest to w_init.
+def minimize(obj: Objective1D, lam: float, w_init: float) -> float:
+    """The local minimizer of L(w) + (lam/2) w^2 nearest to w_init.
 
     Damped Newton, with a downhill step of 0.1 (1 + |w|) where the
     curvature is not positive, each step halved until Y does not rise.
-    Converged means the gradient magnitude is below 1e-10 with a positive
+    It stops once the gradient magnitude is below 1e-10 with a positive
     second derivative; MinimizationError if the iteration stalls short of
     that, for example pinned at the edge of the domain.
     """
@@ -70,7 +62,7 @@ def minimize(obj: Objective1D, lam: float, w_init: float) -> LocalMinResult:
     for _ in range(100):
         g = Yp(w)
         if abs(g) < GRAD_TOL and Ypp(w) > 0:
-            return LocalMinResult(lam, w, Y(w), True)
+            return w
         h = Ypp(w)
         if h > 0:
             step = -g / h
@@ -86,7 +78,7 @@ def minimize(obj: Objective1D, lam: float, w_init: float) -> LocalMinResult:
             break
         w = cand
     if abs(Yp(w)) < GRAD_TOL and Ypp(w) > 0:
-        return LocalMinResult(lam, w, Y(w), True)
+        return w
     raise MinimizationError(
         f"{obj.name}: stalled at w={w} (grad {Yp(w):.3e}) from {w_init} at lam={lam}"
     )
@@ -166,21 +158,17 @@ def theorem1_suite(
     for obj in objectives:
         for seed in obj.inits:
             for lam0 in lambdas:
-                base = minimize(obj, lam0, seed)
-                w0 = base.omega_star
+                w0 = minimize(obj, lam0, seed)
                 if w0 == 0:
                     continue  # theorem needs a nonzero minimum
                 slope = 1.0 / dlambda_domega(obj, lam0, w0)
                 for d in deltas if deltas is not None else (1e-3 * lam0,):
                     if d == 0:
-                        cont = minimize(obj, lam0, w0)
-                        rows.append(ContinuationRow(
-                            obj.name, lam0, w0, lam0, cont.omega_star,
-                            shrank=cont.omega_star == w0, jumped=False,
-                        ))
+                        w1 = minimize(obj, lam0, w0)
+                        rows.append(ContinuationRow(obj.name, lam0, w0, lam0, w1,
+                                                    shrank=w1 == w0, jumped=False))
                         continue
-                    cont = minimize(obj, lam0 + d, w0)
-                    w1 = cont.omega_star
+                    w1 = minimize(obj, lam0 + d, w0)
                     jumped = abs(w1 - w0) > 10.0 * d * abs(slope)
                     shrank = abs(w1) < abs(w0)
                     rows.append(ContinuationRow(obj.name, lam0, w0, lam0 + d, w1,

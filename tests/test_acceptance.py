@@ -76,8 +76,7 @@ def toy_run(ratio, seed=0, speed=0.05, interval=10, max_iters=8000,
     })
     train, val, test, shape, _means = load_dataset(cfg)
     net = build_network(cfg.arch_defs, shape, seed=cfg.seed)
-    train_network(net, train[0], train[1], cfg.train, cfg.seed,
-                  cfg.train.max_iters)
+    train_network(net, train[0], train[1], cfg.train, cfg.seed)
     net, rep, lgs = run_pruning(
         net, train[0], train[1], cfg.prune_train, cfg.schedules,
         seed=cfg.seed, report_stride=cfg.report_stride,
@@ -86,7 +85,7 @@ def toy_run(ratio, seed=0, speed=0.05, interval=10, max_iters=8000,
         # exactly what `increg retrain` runs
         _, masks, bias_masks = materialize_reg(net, lgs)
         train_network(net, train[0], train[1], cfg.retrain, cfg.seed + 1,
-                      cfg.retrain_iters, masks=masks, bias_masks=bias_masks)
+                      masks=masks, bias_masks=bias_masks)
     acc, _ = evaluate(net, test[0], test[1])
     _TOY_CACHE[key] = (net, rep, lgs, acc)
     return _TOY_CACHE[key]
@@ -98,8 +97,8 @@ def toy_run(ratio, seed=0, speed=0.05, interval=10, max_iters=8000,
 def test_criterion_1_shrinkage_continuation(capsys):
     def body():
         quad = [o for o in objective_library() if o.name == "quadratic"][0]
-        assert abs(minimize(quad, 1.0, 1.0).omega_star - 2.0 / 3.0) <= 1e-8
-        assert abs(minimize(quad, 2.0, 1.0).omega_star - 0.5) <= 1e-8
+        assert abs(minimize(quad, 1.0, 1.0) - 2.0 / 3.0) <= 1e-8
+        assert abs(minimize(quad, 2.0, 1.0) - 0.5) <= 1e-8
         passed, rows = theorem1_suite(deltas=(1e-3, 1e-2, 1e-1))
         assert passed
         assert rows and not any(r.jumped for r in rows)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from increg.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from increg.compact import build_plan, compact
 from increg.network import TrainConfig, build_network, loss_and_grads, sgd_step
+from increg.scheduler import PruneSchedule, build_groups, prune_converged, refresh_l1
 
 DEFS = [
     {"kind": "conv", "filters": 4, "kernel": 3, "pad": 1},
@@ -116,6 +118,18 @@ class TestCorruption:
         net = build_network(DEFS, (1, 6, 6), seed=0, dtype=np.float64)
         with pytest.raises(CheckpointError):
             save_checkpoint(tmp_path / "d.ckpt", net)
+
+    def test_rejects_compacted_network(self, tmp_path):
+        # its layer list cannot carry a conv's kept rows, so it would not load
+        net = trained_net()
+        lg = build_groups(net, PruneSchedule(ratio=0.25, epsilon=1e9, layer=0), 0)
+        refresh_l1(net, lg)
+        prune_converged(net, lg, max_new=lg.target)
+        small = compact(net, build_plan(net, [lg]))
+        p = tmp_path / "c.ckpt"
+        with pytest.raises(CheckpointError, match="compacted"):
+            save_checkpoint(p, small)
+        assert not p.exists()
 
     def test_rejects_non_finite_tensor(self, tmp_path):
         net = trained_net()

@@ -46,7 +46,7 @@ class TestConfig:
         assert cfg.schedules[0].ratio == 0.5
         assert cfg.schedules[0].speed == 0.05
         assert cfg.schedules[0].kind == "column"
-        assert cfg.retrain_iters == 500
+        assert cfg.retrain.max_iters == 500
         assert cfg.retrain.base_lr == 0.01
         assert cfg.retrain.batch_size == cfg.train.batch_size
         assert cfg.report_stride == 1
@@ -127,6 +127,7 @@ class TestConfig:
             {"prune": {"ratio": 1.5}},
             {"prune": {"kind": "diagonal"}},
             {"prune": {"update_interval": 0}},
+            {"retrain": {"iters": None}},
         ],
     )
     def test_invalid_values_rejected(self, user):
@@ -253,6 +254,19 @@ class TestCli:
         p.write_text("prune:\n  max_iters: 0\n")
         assert main(["prune", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "prune.max_iters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, says", [
+        ("architecture:\n  preset: null\n  layers: 5\n", "architecture.layers"),
+        ("dataset:\n  shape: [1, a, 8]\n", "dataset shape"),
+        ("retrain:\n  iters: -5\n", "retrain: "),
+    ], ids=["layers-not-a-list", "shape-not-ints", "negative-retrain-iters"])
+    def test_malformed_section_is_exit_2(self, tmp_path, capsys, text, says):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(p), "--out", str(out)]) == 2
+        assert f"error: {says}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_labels_beyond_the_net_are_exit_2(self, tmp_path, capsys):
         # ten blob classes against the toy preset's four outputs
@@ -528,11 +542,11 @@ class TestCli:
         cfg = parse_config(FAST_PIPELINE)
         train, _val, _test, shape, _ = load_dataset(cfg)
         net = build_network(cfg.arch_defs, shape, seed=cfg.seed)
-        train_network(net, *train, cfg.train, cfg.seed, cfg.train.max_iters)
+        train_network(net, *train, cfg.train, cfg.seed)
         net, _, groups = run_pruning(net, *train, cfg.prune_train, cfg.schedules,
                                      seed=cfg.seed)
         _, masks, bias_masks = materialize_reg(net, groups)
-        train_network(net, *train, cfg.retrain, cfg.seed + 1, cfg.retrain_iters,
+        train_network(net, *train, cfg.retrain, cfg.seed + 1,
                       masks=masks, bias_masks=bias_masks)
         assert net.iteration == cli_net.iteration
         for i in net.parametric_indices:

@@ -76,8 +76,7 @@ def test_half_flops_keeps_accuracy():
     train, val, test, shape, _means = load_dataset(cfg)
 
     net = build_network(cfg.arch_defs, shape, seed=cfg.seed)
-    train_network(net, train[0], train[1], cfg.train, cfg.seed,
-                  cfg.train.max_iters, val=val)
+    train_network(net, train[0], train[1], cfg.train, cfg.seed, val=val)
     base_acc, _ = evaluate(net, test[0], test[1])
     print(f"baseline test accuracy: {base_acc:.4f}")
 
@@ -87,7 +86,7 @@ def test_half_flops_keeps_accuracy():
     )
     _, masks, bias_masks = materialize_reg(net, lgs)
     train_network(net, train[0], train[1], cfg.retrain, cfg.seed + 1,
-                  cfg.retrain_iters, masks=masks, bias_masks=bias_masks)
+                  masks=masks, bias_masks=bias_masks)
     conv_ratio = flops_totals(net, compact(net, build_plan(net, lgs)))["conv_ratio"]
     pruned_acc, _ = evaluate(net, test[0], test[1])
     print(f"converged at iteration {rep.summary['converged_iteration']}, "

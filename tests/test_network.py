@@ -267,7 +267,7 @@ class TestTraining:
                 {"kind": "softmax-xent"}]
         net = build_network(defs, (1, 8, 8), seed=0)
         cfg = TrainConfig(max_iters=600)
-        train_network(net, train[0], train[1], cfg, 0, 600)
+        train_network(net, train[0], train[1], cfg, 0)
         acc, _ = evaluate(net, train[0], train[1])
         assert acc >= 0.95
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import increg.scheduler as sched
+import increg.network as network
 
 from helpers import report_rows
 from increg.data import make_blobs
@@ -101,8 +101,8 @@ def drive(net, schedules, weight_seq, report_stride=1):
 
     cfg = TrainConfig(max_iters=len(weight_seq), batch_size=2)
     x = np.zeros((2, *net.input_shape), dtype=np.float32)
-    with mock.patch.object(sched, "loss_and_grads", lambda *a: (0.0, None, None)), \
-            mock.patch.object(sched, "sgd_step", step):
+    with mock.patch.object(network, "loss_and_grads", lambda *a: (0.0, None, None)), \
+            mock.patch.object(network, "sgd_step", step):
         try:
             _, report, lgs = run_pruning(net, x, np.zeros(2, dtype=np.intp), cfg,
                                          schedules, seed=0,
@@ -697,11 +697,27 @@ class TestRunPruning:
         a = blob_net(seed=21)
         a, _, _ = run_pruning(a, x, y, cfg, [PruneSchedule(ratio=0.0, speed=0.1)],
                               seed=33)
-        b = train_network(blob_net(seed=21), x, y, cfg, 33, cfg.max_iters)
+        b = train_network(blob_net(seed=21), x, y, cfg, 33)
         for i in a.parametric_indices:
             assert np.array_equal(a.weights[i], b.weights[i])
             assert np.array_equal(a.biases[i], b.biases[i])
             assert np.array_equal(a.vel_w[i], b.vel_w[i])
+
+    def test_zero_ratio_matches_plain_training_from_a_later_iteration(self):
+        # both phases count the step schedule from their own step 0, not
+        # from net.iteration, so a net that has taken 100 steps changes nothing
+        x, y = blob_data()
+        cfg = TrainConfig(base_lr=0.05, weight_decay=0.004, batch_size=32,
+                          max_iters=120, lr_schedule="step", step_every=50)
+        a, b = blob_net(seed=21), blob_net(seed=21)
+        a.iteration = b.iteration = 100
+        run_pruning(a, x, y, cfg, [PruneSchedule(ratio=0.0, speed=0.1)], seed=33)
+        train_network(b, x, y, cfg, 33)
+        assert a.iteration == b.iteration == 220
+        for i in a.parametric_indices:
+            for got, want in ((a.weights[i], b.weights[i]), (a.biases[i], b.biases[i]),
+                              (a.vel_w[i], b.vel_w[i]), (a.vel_b[i], b.vel_b[i])):
+                assert np.array_equal(got, want)
 
     def test_report_stride_thins_rows_without_changing_dynamics(self):
         net1, rep1, _ = self.run()
@@ -728,11 +744,11 @@ class TestRunPruning:
 
     def test_retrain_preserves_pruned_zeros(self):
         retrain_cfg = TrainConfig(base_lr=0.01, weight_decay=0.004,
-                                  batch_size=32, max_iters=1)
+                                  batch_size=32, max_iters=60)
         net, _, lgs = self.run()
         x, y = blob_data()
         _, masks, bias_masks = materialize_reg(net, lgs)
-        train_network(net, x, y, retrain_cfg, 12, 60,
+        train_network(net, x, y, retrain_cfg, 12,
                       masks=masks, bias_masks=bias_masks)
         acc, _ = evaluate(net, x, y)
         assert acc >= 0.9
