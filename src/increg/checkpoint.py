@@ -89,7 +89,7 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable metadata in {path}: {e}") from e
     off += jlen
-    if meta.get("format") != MAGIC.decode():
+    if not isinstance(meta, dict) or meta.get("format") != MAGIC.decode():
         raise CheckpointError(f"metadata format tag mismatch in {path}")
     try:
         input_shape = tuple(meta["input_shape"])
@@ -99,6 +99,9 @@ def load_checkpoint(path):
         raise CheckpointError(f"metadata in {path} lacks {e}") from e
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"invalid metadata in {path}: {e}") from e
+    extra = meta.get("meta") or {}
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"invalid metadata in {path}: meta is not a mapping")
 
     def take(shape) -> np.ndarray:
         nonlocal off
@@ -137,6 +140,6 @@ def load_checkpoint(path):
         rng_seed=seed,
         iteration=iteration,
         dtype=np.dtype(np.float32),
-        meta=meta.get("meta") or {},
+        meta=extra,
     )
     return net, meta.get("scheduler")

@@ -59,9 +59,17 @@ def _build_net(cfg: cfgmod.RunConfig, input_shape, means):
         net = build_network(cfg.arch_defs, input_shape, seed=cfg.seed)
     except (IndexError, TypeError, ValueError) as e:
         raise cfgmod.ConfigError(f"architecture: {e}") from e
-    if means is not None:
-        net.meta["channel_means"] = [float(m) for m in means]
+    net.meta["channel_means"] = [float(m) for m in means]
     return net
+
+
+def _load_pruned(path):
+    """A pruned checkpoint's network, its saved scheduler state and the
+    layer groups rebuilt from that state."""
+    net, scheduler_meta = ckpt.load_checkpoint(path)
+    if scheduler_meta is None:
+        raise ckpt.CheckpointError(f"{path} carries no pruning state")
+    return net, scheduler_meta, sched.groups_from_meta(net, scheduler_meta)
 
 
 def _write_log(rows: list[dict], path) -> None:
@@ -137,11 +145,8 @@ def cmd_prune(args) -> int:
 def cmd_retrain(args) -> int:
     cfg = _load_config(args)
     train, val, _test, _shape, _means = load_dataset(cfg)
-    in_path = args.checkpoint or os.path.join(cfg.out, "pruned.ckpt")
-    net, scheduler_meta = ckpt.load_checkpoint(in_path)
-    if scheduler_meta is None:
-        raise cfgmod.ConfigError(f"{in_path} carries no pruning state to freeze")
-    groups = sched.groups_from_meta(net, scheduler_meta)
+    net, scheduler_meta, groups = _load_pruned(
+        args.checkpoint or os.path.join(cfg.out, "pruned.ckpt"))
     _, masks, bias_masks = sched.materialize_reg(net, groups)
     return _fit_and_save(cfg, net, train, val, cfg.retrain, cfg.seed + 1,
                          "retrain", "retrained.ckpt", scheduler=scheduler_meta,
@@ -150,16 +155,9 @@ def cmd_retrain(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    pruned_path = args.pruned or os.path.join(cfg.out, "pruned.ckpt")
-    pruned, scheduler_meta = ckpt.load_checkpoint(pruned_path)
-    if scheduler_meta is None:
-        raise cfgmod.ConfigError(f"{pruned_path} carries no pruning state")
-    groups = sched.groups_from_meta(pruned, scheduler_meta)
-    rep = bench(
-        pruned, compact(pruned, build_plan(pruned, groups)),
-        batch=int(cfg.bench["batch"]), repeats=int(cfg.bench["repeats"]),
-        warmup=int(cfg.bench["warmup"]), seed=cfg.seed,
-    )
+    pruned, _, groups = _load_pruned(args.pruned or os.path.join(cfg.out, "pruned.ckpt"))
+    rep = bench(pruned, compact(pruned, build_plan(pruned, groups)),
+                **cfg.bench, seed=cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     out_path = os.path.join(cfg.out, "bench.json")
     write_bench_report(rep, out_path)

@@ -23,11 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import NetworkState, apply_layer, input_batch, layer_def, resolve_layers
-from .scheduler import LayerGroups, group_l1
+from .scheduler import LayerGroups, check_pruned_zero
 
 
 class PlanError(ValueError):
-    """Scheduler state and network weights disagree, or a plan is invalid."""
+    """Scheduler state and network weights disagree, a plan is invalid, or a
+    bench setting is out of range."""
+
+
+MIN_REPEATS = 10                # the fewest timed repeats a bench reports on
 
 
 @dataclass
@@ -58,10 +62,7 @@ def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> CompactPla
     seen: set[int] = set()
     for lg in layer_groups:
         l = lg.layer
-        # a group's L1-norm is 0 exactly when every weight in it is 0
-        live = np.flatnonzero(lg.pruned & (group_l1(net.weights[l], lg.kind) != 0))
-        if live.size:
-            raise PlanError(f"layer {l} group {live[0]} is pruned but has nonzero weights")
+        check_pruned_zero(net, lg, PlanError)
         if l in seen:
             raise PlanError(f"layer {l} appears in two group sets")
         seen.add(l)
@@ -208,8 +209,9 @@ def bench(
     a monotonic clock; the report records enough machine metadata to
     interpret the (machine-dependent) ratios later.
     """
-    if repeats < 10:
-        raise ValueError(f"repeats must be >= 10, got {repeats}")
+    if batch < 1 or warmup < 0 or repeats < MIN_REPEATS:
+        raise PlanError(f"bench needs batch >= 1, warmup >= 0 and repeats >= "
+                        f"{MIN_REPEATS}, got {batch}, {warmup} and {repeats}")
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.standard_normal((batch, *net.input_shape)).astype(net.dtype)
     depth = len(net.layers)

@@ -3,14 +3,17 @@
 Every tunable of a run (dataset, architecture, training, pruning, retrain,
 bench) lives here so under-documented hyper-parameters are always
 inspectable: the CLI's print-config emits the merged settings for any
-config file, or the pure defaults for none.
+config file, or the pure defaults for none. Merging is the one place that
+types the YAML: each value must have its default's type, so the rest of the
+package casts no config value.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import yaml
 
@@ -64,8 +67,6 @@ def default_config() -> dict:
             "n_train": 512,
             "n_val": 128,
             "n_test": 128,
-            "seed": None,              # null: top-level seed
-            "normalize": True,
             "dir": None,               # cifar10: directory of *.bin batches
             "train_images": None,      # idx: file paths
             "train_labels": None,
@@ -76,24 +77,15 @@ def default_config() -> dict:
             "preset": "toy",           # preset name, or null with inline layers
             "layers": None,
         },
-        "train": {
-            "base_lr": 0.05,
-            "momentum": 0.9,
-            "weight_decay": 0.004,
-            "batch_size": 32,
-            "max_iters": 2000,
-            "lr_schedule": "fixed",
-            "step_factor": 0.1,
-            "step_every": 1000,
-        },
+        "train": asdict(TrainConfig()),
         "prune": {
             "ratio": 0.5,
             "kind": "column",
-            "speed": 0.05,             # null: half the pruning-phase weight decay
+            "speed": 0.05,
             "epsilon": 1.0e-5,
             "update_interval": 10,
             "max_iters": 8000,
-            "weight_decay": 0.0,       # null: inherit train.weight_decay
+            "weight_decay": 0.0,
             "report_stride": 1,
             "per_layer": [],           # entries: {layer, ratio, [kind, speed, ...]}
         },
@@ -112,16 +104,54 @@ def default_config() -> dict:
     }
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+# the type of each key whose value may be null; every other leaf takes the
+# type of its default
+_NULLABLE = {
+    "dataset.dir": str,
+    "dataset.train_images": str,
+    "dataset.train_labels": str,
+    "dataset.test_images": str,
+    "dataset.test_labels": str,
+    "architecture.preset": str,
+    "architecture.layers": list,
+}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               list: "a list"}
+
+
+def _typed(val, kind: type, where: str):
+    """``val`` as a ``kind``; a float key also takes an int or a numeric string.
+
+    A bool is never a number here, although Python counts it as an int.
+    """
+    if not isinstance(val, bool):
+        if kind is float and isinstance(val, (int, float, str)):
+            try:
+                num = float(val)
+            except ValueError:
+                num = math.nan
+            if math.isfinite(num):
+                return num
+        elif isinstance(val, kind):
+            return copy.deepcopy(val)
+    raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {val!r}")
+
+
+def _merge(base: dict, override, path: str = "") -> dict:
+    """``override`` over ``base``; every key is checked against its default."""
+    if not isinstance(override, dict):
+        raise ConfigError(f"{path or 'the config'} must be a mapping, got {override!r}")
     out = copy.deepcopy(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
+        if isinstance(base[key], dict):
             out[key] = _merge(base[key], val, where)
+        elif val is None and where in _NULLABLE:
+            out[key] = None
         else:
-            out[key] = copy.deepcopy(val)
+            out[key] = _typed(val, _NULLABLE.get(where, type(base[key])), where)
     return out
 
 
@@ -138,71 +168,32 @@ class RunConfig:
     prune_train: TrainConfig
     schedules: list[PruneSchedule]
     retrain: TrainConfig
-    report_stride: int = 1
-    bench: dict = field(default_factory=dict)
+    report_stride: int
+    bench: dict
 
 
-def _train_config(name: str, sec: dict) -> TrainConfig:
+def _build(cls, where: str, fields: dict):
     try:
-        return TrainConfig(
-            base_lr=float(sec["base_lr"]),
-            momentum=float(sec["momentum"]),
-            weight_decay=float(sec["weight_decay"]),
-            batch_size=int(sec["batch_size"]),
-            max_iters=int(sec["max_iters"]),
-            lr_schedule=str(sec["lr_schedule"]),
-            step_factor=float(sec["step_factor"]),
-            step_every=int(sec["step_every"]),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{name}: {e}") from e
-
-
-def _schedules(sec: dict) -> list[PruneSchedule]:
-    common = {
-        "epsilon": float(sec["epsilon"]),
-        "update_interval": int(sec["update_interval"]),
-    }
-    speed = sec["speed"]
-    try:
-        out = [PruneSchedule(
-            ratio=float(sec["ratio"]),
-            kind=str(sec["kind"]),
-            speed=None if speed is None else float(speed),
-            **common,
-        )]
-        for entry in sec["per_layer"] or []:
-            if "layer" not in entry or "ratio" not in entry:
-                raise ConfigError(f"per_layer entry needs layer and ratio: {entry}")
-            e_speed = entry.get("speed", speed)
-            out.append(PruneSchedule(
-                ratio=float(entry["ratio"]),
-                kind=str(entry.get("kind", sec["kind"])),
-                speed=None if e_speed is None else float(e_speed),
-                epsilon=float(entry.get("epsilon", common["epsilon"])),
-                update_interval=int(entry.get("update_interval", common["update_interval"])),
-                layer=int(entry["layer"]),
-            ))
+        return cls(**fields)
     except ValueError as e:
-        raise ConfigError(str(e)) from e
-    return out
+        raise ConfigError(f"{where}: {e}") from e
+
+
+_SCHEDULE_KEYS = ("ratio", "kind", "speed", "epsilon", "update_interval")
 
 
 def parse_config(user: dict | None) -> RunConfig:
     """Merge a user dict over the defaults and build the typed sections."""
     merged = _merge(default_config(), user or {})
-    seed = int(merged["seed"])
-    ds = dict(merged["dataset"])
-    if ds["seed"] is None:
-        ds["seed"] = seed
+    ds = merged["dataset"]
     kind = ds["kind"]
     if kind not in ("synthetic", "idx", "cifar10"):
         raise ConfigError(f"unknown dataset kind {kind!r}")
     if kind == "synthetic":
-        if int(ds["classes"]) < 2:
+        if ds["classes"] < 2:
             raise ConfigError("synthetic dataset needs at least 2 classes")
         shape = ds["shape"]
-        if not (isinstance(shape, (list, tuple)) and len(shape) == 3 and all(
+        if not (len(shape) == 3 and all(
                 isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in shape)):
             raise ConfigError(f"dataset shape must be (C,H,W) of positive ints, got {shape!r}")
     elif kind == "cifar10":
@@ -216,7 +207,7 @@ def parse_config(user: dict | None) -> RunConfig:
     arch = merged["architecture"]
     if arch["layers"] is not None:
         defs = arch["layers"]
-        if not (isinstance(defs, list) and all(isinstance(d, dict) for d in defs)):
+        if not all(isinstance(d, dict) for d in defs):
             raise ConfigError(f"architecture.layers must be a list of mappings, got {defs!r}")
     else:
         preset = arch["preset"]
@@ -226,31 +217,36 @@ def parse_config(user: dict | None) -> RunConfig:
             )
         defs = copy.deepcopy(PRESETS[preset])
 
-    train = _train_config("train", merged["train"])
-    prune_sec = dict(merged["train"])
-    if merged["prune"]["weight_decay"] is not None:
-        prune_sec["weight_decay"] = merged["prune"]["weight_decay"]
-    prune_iters = int(merged["prune"]["max_iters"])
-    if prune_iters < 1:
+    prune = merged["prune"]
+    if prune["max_iters"] < 1:
         # the final report and prune read each group's rank averaged over
         # the iterations, so a prune needs at least one
-        raise ConfigError(f"prune.max_iters must be at least 1, got {prune_iters}")
-    prune_train = _train_config("prune", {**prune_sec, "max_iters": prune_iters})
-    retrain_sec = {**merged["train"], **merged["retrain"]}
-    retrain_sec["max_iters"] = retrain_sec.pop("iters")
-    retrain = _train_config("retrain", retrain_sec)
+        raise ConfigError(f"prune.max_iters must be at least 1, got {prune['max_iters']}")
+    # each per_layer entry inherits the section's schedule keys
+    common = {k: prune[k] for k in _SCHEDULE_KEYS}
+    schedules = [_build(PruneSchedule, "prune", common)]
+    for i, entry in enumerate(prune["per_layer"]):
+        where = f"prune.per_layer[{i}]"
+        prune["per_layer"][i] = full = _merge({"layer": 0, **common}, entry, where)
+        if "layer" not in entry or "ratio" not in entry:
+            raise ConfigError(f"{where} needs layer and ratio, got {entry!r}")
+        schedules.append(_build(PruneSchedule, where, full))
+    retrain = {**merged["train"], **merged["retrain"]}
+    retrain["max_iters"] = retrain.pop("iters")
     return RunConfig(
         raw=merged,
-        seed=seed,
-        out=str(merged["out"]),
+        seed=merged["seed"],
+        out=merged["out"],
         dataset=ds,
         arch_defs=defs,
-        train=train,
-        prune_train=prune_train,
-        schedules=_schedules(merged["prune"]),
-        retrain=retrain,
-        report_stride=int(merged["prune"]["report_stride"]),
-        bench=dict(merged["bench"]),
+        train=_build(TrainConfig, "train", merged["train"]),
+        prune_train=_build(TrainConfig, "prune", {
+            **merged["train"], "weight_decay": prune["weight_decay"],
+            "max_iters": prune["max_iters"]}),
+        schedules=schedules,
+        retrain=_build(TrainConfig, "retrain", retrain),
+        report_stride=prune["report_stride"],
+        bench=merged["bench"],
     )
 
 

@@ -162,15 +162,14 @@ def load_dataset(cfg):
     """Resolve a RunConfig's dataset into normalized train/val/test arrays.
 
     Returns (train, val, test, input_shape, means) where each split is an
-    (images, labels) pair and means is the per-channel train mean actually
-    subtracted (None when normalization is off).
+    (images, labels) pair and means is the per-channel train mean subtracted
+    from every split. Synthetic blobs are drawn from the run's seed.
     """
     ds = cfg.dataset
     if ds["kind"] == "synthetic":
         train, val, test = split_blobs(
-            int(ds["n_train"]), int(ds["n_val"]), int(ds["n_test"]),
-            classes=int(ds["classes"]), shape=tuple(ds["shape"]),
-            noise=float(ds["noise"]), seed=int(ds["seed"]),
+            ds["n_train"], ds["n_val"], ds["n_test"], classes=ds["classes"],
+            shape=tuple(ds["shape"]), noise=ds["noise"], seed=cfg.seed,
         )
     elif ds["kind"] == "cifar10":
         if not os.path.isdir(ds["dir"]):
@@ -189,14 +188,8 @@ def load_dataset(cfg):
         train = (x[: len(x) - n_val], y[: len(x) - n_val])
         val = (x[len(x) - n_val :], y[len(x) - n_val :])
         test = (tx, ty)
-    means = None
-    if ds["normalize"]:
-        means = channel_means(train[0])
-        train = (apply_normalization(train[0], means), train[1])
-        if len(val[0]):
-            val = (apply_normalization(val[0], means), val[1])
-        if len(test[0]):
-            test = (apply_normalization(test[0], means), test[1])
+    means = channel_means(train[0])
+    train, val, test = ((apply_normalization(x, means), y) for x, y in (train, val, test))
     return train, val, test, train[0].shape[1:], means
 
 

@@ -46,7 +46,7 @@ class PruneSchedule:
     """Per-layer pruning plan; layer None means every non-exempt conv layer."""
 
     ratio: float
-    speed: float | None = None     # None: half the base weight decay
+    speed: float
     epsilon: float = 1e-5
     update_interval: int = 10
     kind: str = "column"
@@ -55,7 +55,7 @@ class PruneSchedule:
     def __post_init__(self):
         if not 0 <= self.ratio < 1:
             raise ScheduleError(f"ratio must be in [0,1), got {self.ratio}")
-        if self.speed is not None and self.speed <= 0:
+        if self.speed <= 0:
             raise ScheduleError(f"speed must be positive, got {self.speed}")
         if self.epsilon <= 0:
             raise ScheduleError(f"epsilon must be positive, got {self.epsilon}")
@@ -165,9 +165,7 @@ def build_groups(net: NetworkState, schedule: PruneSchedule, layer: int) -> Laye
                        target=target, schedule=schedule)
 
 
-def build_all_groups(
-    net: NetworkState, schedules: list[PruneSchedule], cfg: TrainConfig
-) -> list[LayerGroups]:
+def build_all_groups(net: NetworkState, schedules: list[PruneSchedule]) -> list[LayerGroups]:
     """Bind schedules to layers; every non-exempt conv layer must be covered."""
     prunable = [i for i in net.conv_indices if not net.layers[i].prune_exempt]
     if not prunable:
@@ -175,10 +173,6 @@ def build_all_groups(
     bound: dict[int, PruneSchedule] = {}
     default = None
     for sch in schedules:
-        if sch.speed is None:
-            sch = replace(sch, speed=cfg.weight_decay / 2)
-        if sch.speed <= 0:
-            raise ScheduleError("resolved speed must be positive; is weight_decay zero?")
         if sch.layer is None:
             if default is not None:
                 raise ScheduleError("more than one default (layer-less) schedule")
@@ -281,6 +275,14 @@ def prune_converged(net: NetworkState, lg: LayerGroups,
     return below
 
 
+def check_pruned_zero(net: NetworkState, lg: LayerGroups, error: type[ValueError]) -> None:
+    """Raise ``error`` if a group flagged pruned still holds a nonzero weight."""
+    # a group's L1-norm is 0 exactly when every weight in it is 0
+    live = np.flatnonzero(lg.pruned & (group_l1(net.weights[lg.layer], lg.kind) != 0))
+    if live.size:
+        raise error(f"layer {lg.layer} group {live[0]} is pruned but has nonzero weights")
+
+
 def materialize_reg(net: NetworkState, layer_groups: list[LayerGroups]):
     """Per-layer factor arrays and keep-masks shaped to broadcast over weights.
 
@@ -327,9 +329,13 @@ def groups_to_meta(layer_groups: list[LayerGroups]) -> list[dict]:
 def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
     """Rebuild scheduler state saved by :func:`groups_to_meta`.
 
-    Raises ScheduleError for a missing key, a per-group list whose length is
-    not the layer's group count, unequal rank counts or unreadable values.
+    Raises ScheduleError for a state that is not a list, a missing key, a
+    per-group list whose length is not the layer's group count, unequal rank
+    counts, pruned flags other than 0 and 1, a pruned group whose weights
+    are not all zero, or unreadable values.
     """
+    if not isinstance(meta, list):
+        raise ScheduleError(f"scheduler state must be a list of layers, got {meta!r}")
     out = []
     for m in meta:
         if not isinstance(m, dict):
@@ -350,6 +356,8 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
                 )
         if m["target"] != lg.target:
             raise ScheduleError(f"layer {lg.layer}: saved target {m['target']} vs {lg.target}")
+        if any(f not in (0, 1) for f in m["pruned"]):
+            raise ScheduleError(f"layer {lg.layer}: pruned flags must be 0 or 1")
         try:
             if len(set(m["rank_count"])) != 1:
                 raise ScheduleError(f"layer {lg.layer}: groups saved with unequal rank counts")
@@ -359,6 +367,7 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
             lg.pruned[:] = m["pruned"]
         except (TypeError, ValueError) as e:
             raise ScheduleError(f"layer {lg.layer}: unreadable scheduler state: {e}") from e
+        check_pruned_zero(net, lg, ScheduleError)
         refresh_l1(net, lg)
         out.append(lg)
     return out
@@ -405,8 +414,8 @@ def run_pruning(
     does.
     """
     if report_stride < 1:
-        raise ValueError(f"report_stride must be >= 1, got {report_stride}")
-    layer_groups = build_all_groups(net, schedules, cfg)
+        raise ScheduleError(f"report_stride must be >= 1, got {report_stride}")
+    layer_groups = build_all_groups(net, schedules)
     snapshots: list[Snapshot] = []
     converged_at: int | None = None
 

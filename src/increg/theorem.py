@@ -142,7 +142,8 @@ def objective_library() -> list[Objective1D]:
 def theorem1_suite(
     objectives: list[Objective1D] | None = None,
     lambdas: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0),
-    deltas: tuple[float, ...] | None = None,
+    *,
+    deltas: tuple[float, ...],
 ) -> tuple[bool, list[ContinuationRow]]:
     """Shrinkage check over a grid of penalty increments.
 
@@ -162,12 +163,7 @@ def theorem1_suite(
                 if w0 == 0:
                     continue  # theorem needs a nonzero minimum
                 slope = 1.0 / dlambda_domega(obj, lam0, w0)
-                for d in deltas if deltas is not None else (1e-3 * lam0,):
-                    if d == 0:
-                        w1 = minimize(obj, lam0, w0)
-                        rows.append(ContinuationRow(obj.name, lam0, w0, lam0, w1,
-                                                    shrank=w1 == w0, jumped=False))
-                        continue
+                for d in deltas:
                     w1 = minimize(obj, lam0 + d, w0)
                     jumped = abs(w1 - w0) > 10.0 * d * abs(slope)
                     shrank = abs(w1) < abs(w0)

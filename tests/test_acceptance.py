@@ -309,8 +309,7 @@ def test_criterion_5_flops_and_wall_time(capsys):
 
         # uniform 50% column pruning exactly halves every conv layer
         net = build_network(cfg.arch_defs, (3, 32, 32), seed=0)
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=1.0)],
-                               cfg.train)
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=1.0)])
         for lg in lgs:
             prune_fraction(net, lg)
         cnet = compact(net, build_plan(net, lgs))

@@ -17,7 +17,7 @@ from increg.compact import (
     render_table,
     write_bench_report,
 )
-from increg.network import TrainConfig, build_network, forward
+from increg.network import build_network, forward
 from increg.scheduler import (
     PruneSchedule,
     build_all_groups,
@@ -84,8 +84,7 @@ def param_count(net):
 class TestPlan:
     def test_identity_plan(self):
         net = chain_net()
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.25, speed=1.0)],
-                               TrainConfig())
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.25, speed=1.0)])
         cnet = compact(net, build_plan(net, lgs))
         assert all(spec.keep_cols is None for spec in cnet.layers)
         for a, b in zip(cnet.weights, net.weights):
@@ -144,8 +143,7 @@ class TestForwardEquivalence:
 
     def test_column_pruning_both_layers(self):
         net = chain_net(seed=1)
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.3, speed=1.0)],
-                               TrainConfig())
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.3, speed=1.0)])
         prune_indices(net, lgs[0], [0, 7, 11])
         prune_indices(net, lgs[1], [2, 3, 19, 30])
         plan, cnet = self.check(net, lgs)
@@ -216,8 +214,7 @@ class TestForwardEquivalence:
 
     def test_deep_batch_agreement(self):
         net = build_network(ONEBYONE_DEFS, ONEBYONE_SHAPE, seed=7)
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=1.0)],
-                               TrainConfig())
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=1.0)])
         prune_indices(net, lgs[0], [0, 2, 4, 6, 8])
         prune_indices(net, lgs[1], [1, 3, 5, 7, 9])
         plan = build_plan(net, lgs)
@@ -229,8 +226,7 @@ class TestForwardEquivalence:
 
     def test_param_count_shrinks(self):
         net = chain_net(seed=8)
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.3, speed=1.0)],
-                               TrainConfig())
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.3, speed=1.0)])
         base = param_count(compact(net, build_plan(net, lgs)))
         assert base == param_count(net)
         prune_indices(net, lgs[0], [0, 1])
@@ -240,8 +236,7 @@ class TestForwardEquivalence:
 
     def test_prepare_input_validates_shape(self):
         net = chain_net()
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.25, speed=1.0)],
-                               TrainConfig())
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.25, speed=1.0)])
         cnet = compact(net, build_plan(net, lgs))
         with pytest.raises(ShapeError):
             cnet.forward(np.zeros((2, 3, 8, 8), dtype=np.float32))
@@ -270,8 +265,7 @@ class TestFlops:
 
     def test_half_the_columns_exactly_halves_conv_flops(self):
         net = build_network(ONEBYONE_DEFS, ONEBYONE_SHAPE, seed=2)
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=1.0)],
-                               TrainConfig())
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=1.0)])
         prune_indices(net, lgs[0], [1, 3, 5, 7, 9])
         prune_indices(net, lgs[1], [0, 2, 4, 6, 8])
         cnet = compact(net, build_plan(net, lgs))
@@ -355,8 +349,7 @@ def test_random_prunes_count_from_the_compacted_net(data):
 class TestBench:
     def make(self):
         net = chain_net(seed=3)
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.3, speed=1.0)],
-                               TrainConfig())
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.3, speed=1.0)])
         prune_indices(net, lgs[0], [0, 1, 2, 3, 4])
         prune_indices(net, lgs[1], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
         return net, compact(net, build_plan(net, lgs))

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -31,6 +32,16 @@ from increg.scheduler import (
     materialize_reg,
     run_pruning,
 )
+
+
+def leaves(tree: dict, path: str = ""):
+    """Dotted paths of every non-section key of a config tree."""
+    for key, val in tree.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(val, dict):
+            yield from leaves(val, where)
+        else:
+            yield where
 
 
 class TestConfig:
@@ -108,11 +119,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config({"prune": {"per_layer": [{"ratio": 0.5}]}})
 
-    def test_prune_decay_inherits_when_null(self):
-        cfg = parse_config({"prune": {"weight_decay": None}})
-        assert cfg.prune_train.weight_decay == cfg.train.weight_decay == 0.004
+    def test_prune_decay_is_its_own(self):
         cfg = parse_config({"prune": {"weight_decay": 0.001}})
         assert cfg.prune_train.weight_decay == 0.001
+        assert cfg.train.weight_decay == 0.004
 
     @pytest.mark.parametrize(
         "user",
@@ -128,11 +138,64 @@ class TestConfig:
             {"prune": {"kind": "diagonal"}},
             {"prune": {"update_interval": 0}},
             {"retrain": {"iters": None}},
+            {"prune": {"per_layer": [5]}},
+            {"prune": {"per_layer": 5}},
+            {"dataset": {"classes": "abc"}},
+            {"dataset": {"n_train": "abc"}},
+            {"dataset": {"noise": "abc"}},
+            {"seed": "abc"},
+            {"prune": {"ratio": None}},
+            {"prune": {"epsilon": "abc"}},
+            {"prune": {"update_interval": None}},
+            {"prune": {"report_stride": "abc"}},
+            {"bench": {"repeats": "abc"}},
+            {"prune": {"per_layer": [{"layer": 3, "ratio": 0.25, "bogus": 1}]}},
+            {"prune": {"per_layer": [{"layer": 3.7, "ratio": 0.25}]}},
+            {"train": {"max_iters": 2.9}},
+            {"dataset": {"normalize": "no"}},
+            {"dataset": {"seed": 3}},
+            {"prune": {"speed": None}},
+            {"prune": {"weight_decay": None}},
+            {"train": {"batch_size": True}},
+            {"prune": {"epsilon": float("nan")}},
+            {"bench": None},
         ],
     )
     def test_invalid_values_rejected(self, user):
         with pytest.raises(ConfigError):
             parse_config(user)
+
+    @pytest.mark.parametrize("where", list(leaves(default_config())))
+    def test_every_leaf_rejects_a_wrong_type(self, where):
+        *sections, key = where.split(".")
+        user: dict = {}
+        node, default = user, default_config()
+        for name in sections:
+            node, default = node.setdefault(name, {}), default[name]
+        # a string where a number or list belongs, else a number
+        wrong = 5 if default[key] is None or isinstance(default[key], str) else "abc"
+        node[key] = wrong
+        with pytest.raises(ConfigError, match=re.escape(f"{where} must be")):
+            parse_config(user)
+
+    def test_numbers_convert_where_the_default_is_a_float(self, tmp_path):
+        # YAML 1.1 reads an exponent without a dot as a string
+        path = tmp_path / "cfg.yaml"
+        path.write_text("prune:\n  epsilon: 1e-4\n  per_layer: [{layer: 0, ratio: 0.25, "
+                        "speed: 1e-2}]\ntrain:\n  base_lr: 1\n")
+        assert yaml.safe_load(path.read_text())["prune"]["epsilon"] == "1e-4"
+        cfg = load_config(str(path))
+        assert cfg.schedules[0].epsilon == 1e-04
+        assert cfg.schedules[1].speed == 1e-02
+        assert cfg.train.base_lr == 1.0 and isinstance(cfg.train.base_lr, float)
+        assert "epsilon: 0.0001" in dump_config(cfg)
+
+    def test_per_layer_entries_inherit_the_section(self):
+        cfg = parse_config({"prune": {"speed": 0.2, "per_layer": [{"layer": 3, "ratio": 0.25}]}})
+        assert cfg.raw["prune"]["per_layer"] == [{
+            "layer": 3, "ratio": 0.25, "kind": "column", "speed": 0.2,
+            "epsilon": 1e-5, "update_interval": 10}]
+        assert parse_config(cfg.raw).schedules == cfg.schedules
 
     def test_load_config_paths(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -259,7 +322,29 @@ class TestCli:
         ("architecture:\n  preset: null\n  layers: 5\n", "architecture.layers"),
         ("dataset:\n  shape: [1, a, 8]\n", "dataset shape"),
         ("retrain:\n  iters: -5\n", "retrain: "),
-    ], ids=["layers-not-a-list", "shape-not-ints", "negative-retrain-iters"])
+        ("prune: {per_layer: [5]}\n", "prune.per_layer[0] must be a mapping"),
+        ("prune: {per_layer: 5}\n", "prune.per_layer must be a list"),
+        ("dataset: {classes: abc}\n", "dataset.classes must be an integer"),
+        ("dataset: {n_train: abc}\n", "dataset.n_train must be an integer"),
+        ("dataset: {noise: abc}\n", "dataset.noise must be a finite number"),
+        ("seed: abc\n", "seed must be an integer"),
+        ("prune: {ratio: null}\n", "prune.ratio must be a finite number"),
+        ("prune: {epsilon: abc}\n", "prune.epsilon must be a finite number"),
+        ("prune: {update_interval: null}\n", "prune.update_interval must be an integer"),
+        ("prune: {report_stride: abc}\n", "prune.report_stride must be an integer"),
+        ("bench: {repeats: abc}\n", "bench.repeats must be an integer"),
+        ("prune: {per_layer: [{layer: 3, ratio: 0.25, bogus: 1}]}\n",
+         "unknown config key: prune.per_layer[0].bogus"),
+        ("prune: {per_layer: [{layer: 3.7, ratio: 0.25}]}\n",
+         "prune.per_layer[0].layer must be an integer"),
+        ("train: {max_iters: 2.9}\n", "train.max_iters must be an integer"),
+        ("dataset: {normalize: 'no'}\n", "unknown config key: dataset.normalize"),
+    ], ids=["layers-not-a-list", "shape-not-ints", "negative-retrain-iters",
+            "per-layer-entry-not-a-mapping", "per-layer-not-a-list", "classes-not-int",
+            "n-train-not-int", "noise-not-a-number", "seed-not-int", "null-ratio",
+            "epsilon-not-a-number", "null-update-interval", "report-stride-not-int",
+            "repeats-not-int", "per-layer-unknown-key", "fractional-layer",
+            "fractional-max-iters", "normalize-removed"])
     def test_malformed_section_is_exit_2(self, tmp_path, capsys, text, says):
         p = tmp_path / "cfg.yaml"
         p.write_text(text)
@@ -267,6 +352,28 @@ class TestCli:
         assert main(["train", "--config", str(p), "--out", str(out)]) == 2
         assert f"error: {says}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb, text, says", [
+        ("prune", "report_stride: 0", "report_stride must be >= 1, got 0"),
+        ("bench", "repeats: 5", "bench needs batch >= 1, warmup >= 0 and repeats >= 10, got 10, 5 and 5"),
+        ("bench", "batch: 0", "got 0, 5 and 50"),
+        ("bench", "warmup: -1", "got 10, -1 and 50"),
+    ], ids=["zero-report-stride", "too-few-repeats", "zero-batch", "negative-warmup"])
+    def test_run_bound_is_exit_2(self, tmp_path, capsys, verb, text, says):
+        section = "prune" if verb == "prune" else "bench"
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"{section}: {{{text}}}\n")
+        cfg = parse_config(None)
+        net = build_network(cfg.arch_defs, (1, 8, 8), seed=0)
+        ckpt_path = str(tmp_path / "in.ckpt")
+        save_checkpoint(ckpt_path, net,
+                        scheduler=groups_to_meta(build_all_groups(net, cfg.schedules)))
+        flag = "--checkpoint" if verb == "prune" else "--pruned"
+        out = tmp_path / "run"
+        assert main([verb, "--config", str(p), "--out", str(out), flag, ckpt_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err
+        assert not (out / "pruned.ckpt").exists() and not (out / "bench.json").exists()
 
     def test_labels_beyond_the_net_are_exit_2(self, tmp_path, capsys):
         # ten blob classes against the toy preset's four outputs
@@ -299,7 +406,7 @@ class TestCli:
         cfg_path, out = pipeline_cfg
         cfg = parse_config(FAST_PIPELINE)
         net = build_network(cfg.arch_defs, (10, 1, 1), seed=cfg.seed)
-        meta = groups_to_meta(build_all_groups(net, cfg.schedules, cfg.prune_train))
+        meta = groups_to_meta(build_all_groups(net, cfg.schedules))
         tamper(meta[0])
         path = os.path.join(os.path.dirname(out), "tampered.ckpt")
         save_checkpoint(path, net, scheduler=meta)
@@ -337,12 +444,19 @@ class TestCli:
     @pytest.mark.parametrize("edit, says", [
         (lambda m: m["layers"][0].__setitem__("kind", "bogus"), "unknown kind 'bogus'"),
         (lambda m: m.pop("seed"), "lacks 'seed'"),
-    ], ids=["unknown-kind", "no-seed"])
+        (lambda m: m.__setitem__("scheduler", 5), "scheduler state must be a list"),
+        (lambda m: m.__setitem__("meta", [1, 2]), "meta is not a mapping"),
+        (lambda m: [s.__setitem__("pruned", [2] * len(s["pruned"])) for s in m["scheduler"]],
+         "layer 0: pruned flags must be 0 or 1"),
+        (lambda m: [s.__setitem__("pruned", [1] * len(s["pruned"])) for s in m["scheduler"]],
+         "layer 0 group 0 is pruned but has nonzero weights"),
+    ], ids=["unknown-kind", "no-seed", "scheduler-not-a-list", "meta-not-a-mapping",
+            "flag-not-0-or-1", "flagged-group-not-zero"])
     def test_bad_checkpoint_metadata_is_exit_2(self, pipeline_cfg, capsys, edit, says):
         cfg_path, out = pipeline_cfg
         cfg = parse_config(FAST_PIPELINE)
         net = build_network(cfg.arch_defs, (10, 1, 1), seed=cfg.seed)
-        meta = groups_to_meta(build_all_groups(net, cfg.schedules, cfg.prune_train))
+        meta = groups_to_meta(build_all_groups(net, cfg.schedules))
         path = os.path.join(os.path.dirname(out), "edited.ckpt")
         save_checkpoint(path, net, scheduler=meta)
         # rewrite the JSON block between the 16-byte header and the tensors
@@ -354,10 +468,11 @@ class TestCli:
         blob = json.dumps(meta).encode()
         with open(path, "wb") as f:
             f.write(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
-        code = main(["bench", "--config", cfg_path, "--out", out, "--pruned", path])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and says in err
+        for verb, flag in (("bench", "--pruned"), ("retrain", "--checkpoint")):
+            assert main([verb, "--config", cfg_path, "--out", out, flag, path]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and says in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("content, says", [
         (None, "cannot read"),

@@ -369,27 +369,15 @@ class TestTargets:
 
 class TestBinding:
     def test_default_schedule_covers_all_convs(self):
-        lgs = build_all_groups(blob_net(), [PruneSchedule(ratio=0.5, speed=0.1)],
-                               TrainConfig())
+        lgs = build_all_groups(blob_net(), [PruneSchedule(ratio=0.5, speed=0.1)])
         assert [lg.layer for lg in lgs] == [0, 2]
         assert all(lg.schedule.layer == lg.layer for lg in lgs)
-
-    def test_speed_defaults_to_half_weight_decay(self):
-        lgs = build_all_groups(blob_net(), [PruneSchedule(ratio=0.5)],
-                               TrainConfig(weight_decay=0.004))
-        assert all(lg.schedule.speed == 0.002 for lg in lgs)
-
-    def test_zero_decay_cannot_resolve_speed(self):
-        with pytest.raises(ScheduleError):
-            build_all_groups(blob_net(), [PruneSchedule(ratio=0.5)],
-                             TrainConfig(weight_decay=0.0))
 
     def test_per_layer_overrides_default(self):
         lgs = build_all_groups(
             blob_net(),
             [PruneSchedule(ratio=0.5, speed=0.1),
              PruneSchedule(ratio=0.2, speed=0.3, layer=2, kind="row")],
-            TrainConfig(),
         )
         by_layer = {lg.layer: lg for lg in lgs}
         assert by_layer[0].schedule.ratio == 0.5 and by_layer[0].kind == "column"
@@ -409,7 +397,7 @@ class TestBinding:
     )
     def test_bad_bindings_rejected(self, schedules):
         with pytest.raises(ScheduleError):
-            build_all_groups(blob_net(), schedules, TrainConfig())
+            build_all_groups(blob_net(), schedules)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -421,7 +409,7 @@ class TestBinding:
     )
     def test_bad_schedule_fields_rejected(self, kwargs):
         with pytest.raises(ScheduleError):
-            PruneSchedule(**kwargs)
+            PruneSchedule(**{"speed": 1.0, **kwargs})
 
 
 class TestPruneScan:
@@ -502,7 +490,7 @@ class TestMaterialize:
     def build(self, kind):
         net = blob_net(seed=4)
         sch = PruneSchedule(ratio=0.2, speed=1.0, kind=kind)
-        lgs = build_all_groups(net, [sch], TrainConfig())
+        lgs = build_all_groups(net, [sch])
         return net, lgs
 
     def test_column_shapes_and_values(self):
@@ -580,8 +568,7 @@ class TestMetaRoundTrip:
         import json
 
         net = blob_net()
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=0.1)],
-                               TrainConfig())
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=0.1)])
         for lg in lgs:
             refresh_l1(net, lg)
             lg.rank_sum += rank_groups(lg.l1)
@@ -594,8 +581,7 @@ class TestMetaRoundTrip:
 
     def test_group_count_mismatch_rejected(self):
         net = blob_net()
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=0.1)],
-                               TrainConfig())
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=0.1)])
         meta = groups_to_meta(lgs)
         meta[0]["lambda"] = meta[0]["lambda"][:-1]
         with pytest.raises(ScheduleError):
@@ -603,8 +589,7 @@ class TestMetaRoundTrip:
 
     def saved(self):
         net = blob_net()
-        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=0.1)],
-                               TrainConfig())
+        lgs = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=0.1)])
         return net, groups_to_meta(lgs)
 
     @pytest.mark.parametrize("key", ["lambda", "rank_sum", "rank_count", "pruned"])
@@ -774,7 +759,7 @@ class TestRunPruning:
         assert f"prune diverged at iteration {e.value.iteration}" in str(e.value)
 
     def test_bad_report_stride_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScheduleError, match="report_stride"):
             self.run(report_stride=0)
 
 

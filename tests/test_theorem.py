@@ -142,13 +142,6 @@ class TestSuite:
                 # shrink toward zero, never across it
                 assert r.omega0 * r.omega1 > 0
 
-    def test_zero_delta_keeps_the_minimum(self):
-        passed, rows = theorem1_suite(deltas=(0.0,))
-        assert passed
-        for r in rows:
-            assert r.lambda1 == r.lambda0
-            assert r.omega1 == r.omega0
-
     def test_basin_jump_is_flagged_and_excluded(self):
         passed, rows = theorem1_suite([tilted_double_well()],
                                       lambdas=(1.9,), deltas=(0.3,))
