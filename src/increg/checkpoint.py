@@ -5,9 +5,9 @@ Layout:
 * 8 bytes magic ``INCREG01``,
 * 8 bytes little-endian unsigned JSON byte length,
 * the JSON metadata block (utf-8, sorted keys, no whitespace),
-* for each parametric layer in declaration order: weight, bias (if any),
-  weight momentum, bias momentum (if any), each as a raw little-endian
-  float32 blob in row-major order.
+* for each parametric layer in declaration order: weight, bias, weight
+  momentum, bias momentum, each as a raw little-endian float32 blob in
+  row-major order.
 
 The JSON carries the architecture, input shape, iteration, seed, data
 normalization, and optional scheduler state (per-group factors and pruned
@@ -59,8 +59,7 @@ def save_checkpoint(path, net: NetworkState, scheduler: dict | None = None) -> N
             f.write(blob)
             for i in net.parametric_indices:
                 for arr in (net.weights[i], net.biases[i], net.vel_w[i], net.vel_b[i]):
-                    if arr is not None:
-                        f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -114,20 +113,12 @@ def load_checkpoint(path):
         off += n
         return arr.astype(np.float32, copy=True)
 
-    weights: list[np.ndarray | None] = [None] * len(layers)
-    biases: list[np.ndarray | None] = [None] * len(layers)
-    vel_w: list[np.ndarray | None] = [None] * len(layers)
-    vel_b: list[np.ndarray | None] = [None] * len(layers)
+    weights, biases, vel_w, vel_b = ([None] * len(layers) for _ in range(4))
     for i, spec in enumerate(layers):
-        if not spec.parametric:
-            continue
-        shape = spec.weight_shape()
-        weights[i] = take(shape)
-        if spec.use_bias:
-            biases[i] = take((shape[0],))
-        vel_w[i] = take(shape)
-        if spec.use_bias:
-            vel_b[i] = take((shape[0],))
+        if spec.parametric:
+            shape = spec.weight_shape()
+            weights[i], biases[i] = take(shape), take(shape[:1])
+            vel_w[i], vel_b[i] = take(shape), take(shape[:1])
     if off != len(raw):
         raise CheckpointError(f"{len(raw) - off} trailing bytes in {path}")
     net = NetworkState(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +42,8 @@ class ConvPlan:
     keep_cols: np.ndarray
 
 
-@dataclass
-class CompactPlan:
-    conv: dict[int, ConvPlan] = field(default_factory=dict)
-
-
-def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> CompactPlan:
-    """Translate pruned groups into kept filters and columns for every conv.
+def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> dict[int, ConvPlan]:
+    """Translate pruned groups into kept filters and columns, keyed by conv layer.
 
     Each conv starts with every filter and lowered column kept. A pruned row
     clears its filter, a pruned column its column, and a pruned channel its
@@ -74,7 +69,7 @@ def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> CompactPla
                                     (1, *net.weights[l].shape[1:])).ravel()
         if lg.kind == "channel" and l != convs[0]:
             rows[convs[convs.index(l) - 1]] &= ~lg.pruned
-    plan = CompactPlan()
+    plan = {}
     arriving = None                     # kept filters of the previous conv
     for l in convs:
         g = net.layers[l].geom
@@ -84,8 +79,8 @@ def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> CompactPla
             raise PlanError(f"layer {l}: every filter pruned, nothing to keep")
         if not cols[l].any():
             raise PlanError(f"layer {l}: every column pruned, nothing to keep")
-        plan.conv[l] = ConvPlan(keep_rows=np.flatnonzero(rows[l]),
-                                keep_cols=np.flatnonzero(cols[l]))
+        plan[l] = ConvPlan(keep_rows=np.flatnonzero(rows[l]),
+                           keep_cols=np.flatnonzero(cols[l]))
         arriving = rows[l]
     return plan
 
@@ -114,7 +109,7 @@ class CompactNetwork(NetworkState):
         return x.reshape(x.shape[0], -1)
 
 
-def compact(net: NetworkState, plan: CompactPlan) -> CompactNetwork:
+def compact(net: NetworkState, plan: dict[int, ConvPlan]) -> CompactNetwork:
     """Materialize the plan; kept weights are copied bit-for-bit.
 
     The layers are resolved again on the kept filter counts, which gives
@@ -125,16 +120,16 @@ def compact(net: NetworkState, plan: CompactPlan) -> CompactNetwork:
     """
     defs = [layer_def(spec) for spec in net.layers]
     for i in net.conv_indices:
-        if i not in plan.conv:
+        if i not in plan:
             raise PlanError(f"plan is missing conv layer {i}")
-        defs[i]["filters"] = len(plan.conv[i].keep_rows)
+        defs[i]["filters"] = len(plan[i].keep_rows)
     layers = resolve_layers(defs, net.input_shape)
     weights, biases = [], []
     arriving = None                     # kept filters of the previous conv
     for i, spec in enumerate(layers):
         w, b = net.weights[i], net.biases[i]
         if spec.kind == "conv":
-            cp = plan.conv[i]
+            cp = plan[i]
             block = spec.geom.kernel_h * spec.geom.kernel_w
             cols = cp.keep_cols
             if arriving is not None:
@@ -143,7 +138,7 @@ def compact(net: NetworkState, plan: CompactPlan) -> CompactNetwork:
                 spec.keep_cols = cols
             w = w.reshape(len(w), -1)[np.ix_(cp.keep_rows, cp.keep_cols)]
             w = w.reshape(spec.weight_shape())
-            b = None if b is None else b[cp.keep_rows]
+            b = b[cp.keep_rows]
             arriving = cp.keep_rows
         elif spec.kind == "fc" and arriving is not None:
             hw = spec.in_features // len(arriving)

@@ -196,6 +196,9 @@ def parse_config(user: dict | None) -> RunConfig:
         if not (len(shape) == 3 and all(
                 isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in shape)):
             raise ConfigError(f"dataset shape must be (C,H,W) of positive ints, got {shape!r}")
+        for k, least in (("n_train", 1), ("n_val", 0), ("n_test", 0)):
+            if ds[k] < least:
+                raise ConfigError(f"dataset.{k} must be at least {least}, got {ds[k]}")
     elif kind == "cifar10":
         if not ds["dir"]:
             raise ConfigError("cifar10 dataset needs dir")
@@ -203,6 +206,8 @@ def parse_config(user: dict | None) -> RunConfig:
         for k in ("train_images", "train_labels"):
             if not ds[k]:
                 raise ConfigError(f"idx dataset needs {k}")
+        if bool(ds["test_images"]) != bool(ds["test_labels"]):
+            raise ConfigError("idx dataset needs both test_images and test_labels, or neither")
 
     arch = merged["architecture"]
     if arch["layers"] is not None:

@@ -24,7 +24,15 @@ from .tensor import (
     maxpool2x2_backward,
 )
 
-LAYER_KINDS = ("conv", "relu", "maxpool", "fc", "softmax-xent")
+# every key a layer kind takes, with its default; None marks a required size,
+# which must be positive
+LAYER_KEYS: dict[str, dict[str, int | None]] = {
+    "conv": {"filters": None, "kernel": 3, "stride": 1, "pad": 0},
+    "relu": {},
+    "maxpool": {},
+    "fc": {"out_features": None},
+    "softmax-xent": {},
+}
 
 
 class TrainingDiverged(RuntimeError):
@@ -63,8 +71,6 @@ class LayerSpec:
     filters: int = 0                      # conv only
     in_features: int = 0                  # fc only
     out_features: int = 0                 # fc only
-    use_bias: bool = True
-    prune_exempt: bool = False
     keep_cols: np.ndarray | None = field(default=None, compare=False)
 
     @property
@@ -153,26 +159,45 @@ class NetworkState:
         raise ShapeError("network has no parametric layer")
 
 
+def _layer_keys(pos: int, d) -> tuple[str, dict]:
+    """The kind of layer def ``d`` and its keys over the kind's defaults; each
+    value must be a plain int (not a bool), or a pair of them for ``kernel``."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in LAYER_KEYS:
+        raise ValueError(f"layer {pos}: unknown kind {kind!r}")
+    keys = dict(LAYER_KEYS[kind])
+    for key, val in d.items():
+        if key == "kind":
+            continue
+        if key not in keys:
+            raise ValueError(f"layer {pos}: unknown key {key!r} for {kind}")
+        pair = key == "kernel" and isinstance(val, (list, tuple)) and len(val) == 2
+        if not all(type(v) is int for v in (val if pair else [val])):
+            what = "an integer or a pair of them" if key == "kernel" else "an integer"
+            raise ValueError(f"layer {pos}: {key} must be {what}, got {val!r}")
+        keys[key] = val
+    for key, default in LAYER_KEYS[kind].items():
+        if default is None and (keys[key] is None or keys[key] < 1):
+            raise ValueError(f"layer {pos}: {kind} needs a positive {key}")
+    return kind, keys
+
+
 def resolve_layers(
     defs: list[dict], input_shape: tuple[int, int, int]
 ) -> list[LayerSpec]:
-    """Bind raw layer definitions to concrete shapes, checking the chain.
+    """Check raw layer definitions and bind them to concrete shapes.
 
-    Each def is a dict with a "kind" key; conv defs carry filters/kernel/
-    stride/pad, fc defs carry out_features. The activation shape is threaded
-    through so every geometry is validated where it will actually run.
+    The one schema check of a layer list from a preset, a config file or a
+    checkpoint: each def is a dict of a "kind" and that kind's keys in
+    :data:`LAYER_KEYS`. The activation shape is threaded through so every
+    geometry is validated where it will actually run.
     """
     shape: tuple | None = tuple(int(d) for d in input_shape)
     if len(shape) != 3 or min(shape) < 1:
         raise GeometryError(f"input shape must be (C,H,W) of positive ints: {shape}")
     layers = []
     for pos, d in enumerate(defs):
-        kind = d.get("kind") if isinstance(d, dict) else None
-        if kind not in LAYER_KINDS:
-            raise ValueError(f"layer {pos}: unknown kind {kind!r}")
-        need = {"conv": "filters", "fc": "out_features"}.get(kind)
-        if need is not None and need not in d:
-            raise ValueError(f"layer {pos}: {kind} needs {need}")
+        kind, keys = _layer_keys(pos, d)
         if kind == "softmax-xent":
             if pos != len(defs) - 1:
                 raise ValueError("softmax-xent must be the final layer")
@@ -181,20 +206,13 @@ def resolve_layers(
         if kind == "conv":
             if not isinstance(shape, tuple) or len(shape) != 3:
                 raise GeometryError(f"layer {pos}: conv needs a (C,H,W) input, got {shape}")
-            k = d.get("kernel", 3)
-            kh, kw = (k, k) if isinstance(k, int) else (int(k[0]), int(k[1]))
+            k = keys["kernel"]
+            kh, kw = (k, k) if isinstance(k, int) else k
             geom = ConvGeometry(
                 in_channels=shape[0], in_h=shape[1], in_w=shape[2],
-                kernel_h=kh, kernel_w=kw,
-                stride=int(d.get("stride", 1)), pad=int(d.get("pad", 0)),
+                kernel_h=kh, kernel_w=kw, stride=keys["stride"], pad=keys["pad"],
             )
-            spec = LayerSpec(
-                kind="conv", geom=geom, filters=int(d["filters"]),
-                use_bias=bool(d.get("bias", True)),
-                prune_exempt=bool(d.get("prune_exempt", False)),
-            )
-            if spec.filters < 1:
-                raise ValueError(f"layer {pos}: filters must be positive")
+            spec = LayerSpec(kind="conv", geom=geom, filters=keys["filters"])
             shape = (spec.filters, geom.out_h, geom.out_w)
         elif kind == "relu":
             spec = LayerSpec(kind="relu")
@@ -209,12 +227,7 @@ def resolve_layers(
             shape = (shape[0], shape[1] // 2, shape[2] // 2)
         else:  # fc
             feat = int(np.prod(shape)) if isinstance(shape, tuple) else int(shape)
-            spec = LayerSpec(
-                kind="fc", in_features=feat, out_features=int(d["out_features"]),
-                use_bias=bool(d.get("bias", True)), prune_exempt=True,
-            )
-            if spec.out_features < 1:
-                raise ValueError(f"layer {pos}: out_features must be positive")
+            spec = LayerSpec(kind="fc", in_features=feat, out_features=keys["out_features"])
             shape = spec.out_features
         layers.append(spec)
     if not any(l.parametric for l in layers):
@@ -231,11 +244,9 @@ def layer_def(spec: LayerSpec) -> dict:
             "kernel": [spec.geom.kernel_h, spec.geom.kernel_w],
             "stride": spec.geom.stride,
             "pad": spec.geom.pad,
-            "bias": spec.use_bias,
-            "prune_exempt": spec.prune_exempt,
         }
     if spec.kind == "fc":
-        return {"kind": "fc", "out_features": spec.out_features, "bias": spec.use_bias}
+        return {"kind": "fc", "out_features": spec.out_features}
     return {"kind": spec.kind}
 
 
@@ -260,8 +271,7 @@ def build_network(
         fan_in = int(np.prod(shape[1:]))
         w = (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
         weights.append(w)
-        n_out = shape[0]
-        biases.append(np.zeros(n_out, dtype=dtype) if spec.use_bias else None)
+        biases.append(np.zeros(shape[0], dtype=dtype))
     return NetworkState(
         layers=layers,
         input_shape=tuple(int(d) for d in input_shape),
@@ -282,8 +292,7 @@ def apply_layer(net: NetworkState, i: int, x: np.ndarray):
         cols = im2col_batch(x, g, rows=spec.keep_cols)  # (B, K, P)
         w2 = net.weights[i].reshape(spec.filters, -1)
         y = np.matmul(w2, cols)                         # (B, N, P)
-        if net.biases[i] is not None:
-            y += net.biases[i][:, None]
+        y += net.biases[i][:, None]
         y = y.reshape(x.shape[0], spec.filters, g.out_h, g.out_w)
         return y, ("conv", cols)
     if spec.kind == "relu":
@@ -299,8 +308,7 @@ def apply_layer(net: NetworkState, i: int, x: np.ndarray):
                 f"layer {i}: fc expects {spec.in_features} features, got {flat.shape[1]}"
             )
         y = flat @ net.weights[i].T
-        if net.biases[i] is not None:
-            y += net.biases[i]
+        y += net.biases[i]
         return y, ("fc", flat, x.shape)
     # softmax-xent is a terminal marker; the loss lives in softmax_xent()
     return x, ("softmax-xent",)
@@ -360,7 +368,7 @@ def layer_backward(net: NetworkState, i: int, cache, dy: np.ndarray, need_dx: bo
         dym = dy.reshape(b, spec.filters, g.positions)
         # one GEMM over the batch and position axes together
         dw = np.tensordot(dym, cols, axes=([0, 2], [0, 2])).reshape(net.weights[i].shape)
-        db = dym.sum(axis=(0, 2)) if net.biases[i] is not None else None
+        db = dym.sum(axis=(0, 2))
         dx = None
         if need_dx:
             w2 = net.weights[i].reshape(spec.filters, g.cols)
@@ -374,7 +382,7 @@ def layer_backward(net: NetworkState, i: int, cache, dy: np.ndarray, need_dx: bo
     if spec.kind == "fc":
         flat, in_shape = cache[1], cache[2]
         dw = dy.T @ flat
-        db = dy.sum(axis=0) if net.biases[i] is not None else None
+        db = dy.sum(axis=0)
         dx = (dy @ net.weights[i]).reshape(in_shape) if need_dx else None
         return dx, dw, db
     return dy, None, None
@@ -475,20 +483,18 @@ def sgd_step(
         if m is not None:
             w *= m
             v *= m
-        b, vb = net.biases[i], net.vel_b[i]
-        if b is not None:
-            gb = dbiases[i]
-            if gb is None or gb.shape != b.shape:
-                raise ShapeError(f"layer {i}: bias gradient missing or wrong shape")
-            bm = bias_masks.get(i)
-            if bm is not None:
-                gb = gb * bm
-            vb *= mu
-            vb += gb + wd * b
-            b -= lr_v * vb
-            if bm is not None:
-                b *= bm
-                vb *= bm
+        b, vb, gb = net.biases[i], net.vel_b[i], dbiases[i]
+        if gb is None or gb.shape != b.shape:
+            raise ShapeError(f"layer {i}: bias gradient missing or wrong shape")
+        bm = bias_masks.get(i)
+        if bm is not None:
+            gb = gb * bm
+        vb *= mu
+        vb += gb + wd * b
+        b -= lr_v * vb
+        if bm is not None:
+            b *= bm
+            vb *= bm
     net.iteration += 1
     return net
 

@@ -1,6 +1,6 @@
 """Incremental group regularization: rank-driven per-group factor updates.
 
-Each prunable conv layer is cut into weight groups (rows = filters, columns
+Each conv layer is cut into weight groups (rows = filters, columns
 = kernel positions across filters, channels = contiguous column blocks).
 Every iteration the groups are ranked by L1-norm; every update interval each
 group's regularization factor moves by a piecewise-linear amount of its
@@ -43,7 +43,7 @@ class PruneDidNotConverge(RuntimeError):
 
 @dataclass(frozen=True)
 class PruneSchedule:
-    """Per-layer pruning plan; layer None means every non-exempt conv layer."""
+    """Per-layer pruning plan; layer None means every conv layer without its own."""
 
     ratio: float
     speed: float
@@ -151,8 +151,6 @@ def build_groups(net: NetworkState, schedule: PruneSchedule, layer: int) -> Laye
     spec = net.layers[layer]
     if spec.kind != "conv":
         raise ScheduleError(f"layer {layer} is {spec.kind!r}, only conv layers have groups")
-    if spec.prune_exempt:
-        raise ScheduleError(f"layer {layer} is exempt from pruning")
     layout = group_layout(schedule.kind, net.weights[layer].shape)
     n_g = math.prod(layout)
     target = target_count(schedule.ratio, n_g)
@@ -166,10 +164,10 @@ def build_groups(net: NetworkState, schedule: PruneSchedule, layer: int) -> Laye
 
 
 def build_all_groups(net: NetworkState, schedules: list[PruneSchedule]) -> list[LayerGroups]:
-    """Bind schedules to layers; every non-exempt conv layer must be covered."""
-    prunable = [i for i in net.conv_indices if not net.layers[i].prune_exempt]
-    if not prunable:
-        raise ScheduleError("network has no prunable conv layer")
+    """Bind schedules to layers; every conv layer must be covered (ratio 0 keeps it whole)."""
+    convs = net.conv_indices
+    if not convs:
+        raise ScheduleError("network has no conv layer")
     bound: dict[int, PruneSchedule] = {}
     default = None
     for sch in schedules:
@@ -180,13 +178,13 @@ def build_all_groups(net: NetworkState, schedules: list[PruneSchedule]) -> list[
         else:
             if sch.layer in bound:
                 raise ScheduleError(f"layer {sch.layer} has two schedules")
-            if sch.layer not in prunable:
-                raise ScheduleError(f"layer {sch.layer} is not a prunable conv layer")
+            if sch.layer not in convs:
+                raise ScheduleError(f"layer {sch.layer} is not a conv layer")
             bound[sch.layer] = sch
-    for i in prunable:
+    for i in convs:
         if i not in bound:
             if default is None:
-                raise ScheduleError(f"prunable layer {i} has no schedule")
+                raise ScheduleError(f"conv layer {i} has no schedule")
             bound[i] = replace(default, layer=i)
     return [build_groups(net, bound[i], i) for i in sorted(bound)]
 
@@ -269,7 +267,7 @@ def prune_converged(net: NetworkState, lg: LayerGroups,
     np.putmask(w, drop, 0)
     np.putmask(net.vel_w[lg.layer], drop, 0)
     # a pruned filter's bias must die too, or its output plane stays biased
-    if lg.kind == "row" and net.biases[lg.layer] is not None:
+    if lg.kind == "row":
         net.biases[lg.layer][below] = 0
         net.vel_b[lg.layer][below] = 0
     return below

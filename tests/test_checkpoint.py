@@ -14,7 +14,7 @@ DEFS = [
     {"kind": "conv", "filters": 4, "kernel": 3, "pad": 1},
     {"kind": "relu"},
     {"kind": "maxpool"},
-    {"kind": "conv", "filters": 3, "kernel": 2, "bias": False},
+    {"kind": "conv", "filters": 3, "kernel": 2},
     {"kind": "fc", "out_features": 3},
     {"kind": "softmax-xent"},
 ]
@@ -56,10 +56,8 @@ class TestRoundTrip:
         for i in net.parametric_indices:
             assert loaded.weights[i].tobytes() == net.weights[i].tobytes()
             assert loaded.vel_w[i].tobytes() == net.vel_w[i].tobytes()
-            if net.biases[i] is None:
-                assert loaded.biases[i] is None
-            else:
-                assert loaded.biases[i].tobytes() == net.biases[i].tobytes()
+            assert loaded.biases[i].tobytes() == net.biases[i].tobytes()
+            assert loaded.vel_b[i].tobytes() == net.vel_b[i].tobytes()
 
     def test_scheduler_state_embedded(self, tmp_path):
         net = trained_net()

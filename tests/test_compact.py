@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from increg.compact import (
     CompactNetwork,
-    CompactPlan,
     PlanError,
     bench,
     build_plan,
@@ -147,19 +146,19 @@ class TestForwardEquivalence:
         prune_indices(net, lgs[0], [0, 7, 11])
         prune_indices(net, lgs[1], [2, 3, 19, 30])
         plan, cnet = self.check(net, lgs)
-        assert len(plan.conv[0].keep_cols) == 15
-        assert len(plan.conv[3].keep_cols) == 32
+        assert len(plan[0].keep_cols) == 15
+        assert len(plan[3].keep_cols) == 32
         assert cnet.weights[0].shape == (4, 15)
-        assert cnet.layers[0].keep_cols.tolist() == plan.conv[0].keep_cols.tolist()
+        assert cnet.layers[0].keep_cols.tolist() == plan[0].keep_cols.tolist()
 
     def test_row_pruning_propagates_to_next_conv(self):
         net = chain_net(seed=2)
         lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row"), 0)
         prune_indices(net, lg, [1])
         plan, cnet = self.check(net, [lg])
-        assert plan.conv[0].keep_rows.tolist() == [0, 2, 3]
+        assert plan[0].keep_rows.tolist() == [0, 2, 3]
         # conv at layer 3 loses input channel 1: 27 of 36 columns survive
-        assert len(plan.conv[3].keep_cols) == 27
+        assert len(plan[3].keep_cols) == 27
         assert cnet.layers[3].geom.in_channels == 3
         assert cnet.weights[3].shape == (6, 3, 3, 3)
         assert cnet.layers[3].keep_cols is None  # dense over kept channels
@@ -182,7 +181,7 @@ class TestForwardEquivalence:
         prune_indices(net, lg, [2])
         plan, cnet = self.check(net, [lg])
         # the producing filter of the dead channel dies with it
-        assert plan.conv[0].keep_rows.tolist() == [0, 1, 3]
+        assert plan[0].keep_rows.tolist() == [0, 1, 3]
         assert cnet.layers[3].geom.in_channels == 3
         # the last conv keeps all six filters, so the fc keeps its input
         assert np.array_equal(cnet.weights[6], net.weights[6])
@@ -207,7 +206,7 @@ class TestForwardEquivalence:
         plan, cnet = self.check(net, [row_lg, col_lg])
         # conv 3 loses channel 3's block of 9 plus its own dead columns,
         # except column 28 which lives inside the dead block already
-        assert len(plan.conv[3].keep_cols) == 25
+        assert len(plan[3].keep_cols) == 25
         # renumbered to the three channels that reach it
         assert cnet.layers[3].keep_cols.tolist() == [
             c for c in range(27) if c not in (5, 9)]
@@ -278,7 +277,7 @@ class TestFlops:
 
     def test_missing_conv_layer_rejected(self):
         with pytest.raises(PlanError):
-            compact(chain_net(), CompactPlan())
+            compact(chain_net(), {})
 
 
 def zero_pattern_flops(net, kinds):

@@ -44,6 +44,15 @@ def leaves(tree: dict, path: str = ""):
             yield where
 
 
+def inline_layers(*layers: str) -> str:
+    """Config text of an inline net of the given layers and a loss layer."""
+    return ("architecture: {preset: null, layers: ["
+            + ", ".join([*layers, "{kind: softmax-xent}"]) + "]}\n")
+
+
+FC = "{kind: fc, out_features: 4}"
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = parse_config(None)
@@ -339,12 +348,48 @@ class TestCli:
          "prune.per_layer[0].layer must be an integer"),
         ("train: {max_iters: 2.9}\n", "train.max_iters must be an integer"),
         ("dataset: {normalize: 'no'}\n", "unknown config key: dataset.normalize"),
+        ("dataset: {n_train: 0}\n", "dataset.n_train must be at least 1, got 0"),
+        ("dataset: {n_train: -5}\n", "dataset.n_train must be at least 1, got -5"),
+        ("dataset: {n_val: -5}\n", "dataset.n_val must be at least 0, got -5"),
+        ("dataset: {n_test: -1}\n", "dataset.n_test must be at least 0, got -1"),
+        ("dataset: {kind: idx, train_images: a, train_labels: b, test_images: c}\n",
+         "idx dataset needs both test_images and test_labels, or neither"),
+        ("dataset: {kind: idx, train_images: a, train_labels: b, test_labels: d}\n",
+         "idx dataset needs both test_images and test_labels, or neither"),
+        (inline_layers("{kind: conv, filters: 8, stride: 1.9}", FC),
+         "architecture: layer 0: stride must be an integer, got 1.9"),
+        (inline_layers("{kind: conv, filters: 8, strides: 2}", FC),
+         "architecture: layer 0: unknown key 'strides' for conv"),
+        (inline_layers("{kind: conv, filters: 8.9}", FC),
+         "architecture: layer 0: filters must be an integer, got 8.9"),
+        (inline_layers("{kind: conv, filters: true}", FC),
+         "architecture: layer 0: filters must be an integer, got True"),
+        (inline_layers("{kind: conv, filters: 8}", "{kind: fc, out_features: '4'}"),
+         "architecture: layer 1: out_features must be an integer, got '4'"),
+        (inline_layers("{kind: conv, filters: 8, bias: 'no'}", FC),
+         "architecture: layer 0: unknown key 'bias' for conv"),
+        (inline_layers("{kind: conv, filters: 8, bias: true}", FC),
+         "architecture: layer 0: unknown key 'bias' for conv"),
+        (inline_layers("{kind: conv, filters: 8, prune_exempt: 'false'}", FC),
+         "architecture: layer 0: unknown key 'prune_exempt' for conv"),
+        (inline_layers("{kind: conv, filters: 8}", "{kind: relu, filters: 8}", FC),
+         "architecture: layer 1: unknown key 'filters' for relu"),
+        (inline_layers("{kind: conv, filters: 8, kernel: [3]}", FC),
+         "architecture: layer 0: kernel must be an integer or a pair of them, got [3]"),
+        (inline_layers("{kind: conv, filters: 8, kernel: [3, 2.5]}", FC),
+         "architecture: layer 0: kernel must be an integer or a pair of them, got [3, 2.5]"),
     ], ids=["layers-not-a-list", "shape-not-ints", "negative-retrain-iters",
             "per-layer-entry-not-a-mapping", "per-layer-not-a-list", "classes-not-int",
             "n-train-not-int", "noise-not-a-number", "seed-not-int", "null-ratio",
             "epsilon-not-a-number", "null-update-interval", "report-stride-not-int",
             "repeats-not-int", "per-layer-unknown-key", "fractional-layer",
-            "fractional-max-iters", "normalize-removed"])
+            "fractional-max-iters", "normalize-removed", "zero-n-train",
+            "negative-n-train", "negative-n-val", "negative-n-test",
+            "idx-test-images-alone", "idx-test-labels-alone", "fractional-stride",
+            "misspelt-layer-key", "fractional-filters", "bool-filters",
+            "string-out-features", "bias-removed", "bias-true-removed",
+            "prune-exempt-removed", "key-on-relu", "one-entry-kernel",
+            "fractional-kernel-entry"])
     def test_malformed_section_is_exit_2(self, tmp_path, capsys, text, says):
         p = tmp_path / "cfg.yaml"
         p.write_text(text)
@@ -450,8 +495,14 @@ class TestCli:
          "layer 0: pruned flags must be 0 or 1"),
         (lambda m: [s.__setitem__("pruned", [1] * len(s["pruned"])) for s in m["scheduler"]],
          "layer 0 group 0 is pruned but has nonzero weights"),
+        # a checkpoint written while layers still carried a bias flag
+        (lambda m: m["layers"][0].__setitem__("bias", True),
+         "layer 0: unknown key 'bias' for conv"),
+        (lambda m: m["layers"][2].__setitem__("filters", 8.0),
+         "layer 2: filters must be an integer, got 8.0"),
     ], ids=["unknown-kind", "no-seed", "scheduler-not-a-list", "meta-not-a-mapping",
-            "flag-not-0-or-1", "flagged-group-not-zero"])
+            "flag-not-0-or-1", "flagged-group-not-zero", "unknown-layer-key",
+            "float-filters"])
     def test_bad_checkpoint_metadata_is_exit_2(self, pipeline_cfg, capsys, edit, says):
         cfg_path, out = pipeline_cfg
         cfg = parse_config(FAST_PIPELINE)

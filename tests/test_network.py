@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from increg.network import (
     evaluate,
     forward,
     layer_backward,
+    layer_def,
     loss_and_grads,
     lr_at,
     resolve_layers,
@@ -61,7 +63,7 @@ class TestForward:
         assert abs(batch_loss(net, x, y) - math.log(3)) <= 1e-12
 
     def test_identity_conv_preserves_input(self):
-        defs = [{"kind": "conv", "filters": 2, "kernel": 1, "bias": False},
+        defs = [{"kind": "conv", "filters": 2, "kernel": 1},
                 {"kind": "fc", "out_features": 2},
                 {"kind": "softmax-xent"}]
         net = build_network(defs, (2, 3, 3), seed=0, dtype=np.float64)
@@ -119,13 +121,12 @@ class TestGradients:
                 want = fd_gradient(net, x, y, i, idx)
                 got = dw[i][idx]
                 assert abs(got - want) / max(abs(want), 1e-8) < 1e-5, (i, idx)
-            if net.biases[i] is not None:
-                for j in range(net.biases[i].shape[0]):
-                    want = fd_gradient(net, x, y, i, (j,), bias=True)
-                    assert abs(db[i][j] - want) / max(abs(want), 1e-8) < 1e-5
+            for j in range(net.biases[i].shape[0]):
+                want = fd_gradient(net, x, y, i, (j,), bias=True)
+                assert abs(db[i][j] - want) / max(abs(want), 1e-8) < 1e-5
 
     def test_maxpool_routes_to_first_max_on_ties(self):
-        defs = [{"kind": "maxpool"}, {"kind": "fc", "out_features": 2, "bias": False},
+        defs = [{"kind": "maxpool"}, {"kind": "fc", "out_features": 2},
                 {"kind": "softmax-xent"}]
         net = build_network(defs, (1, 2, 2), seed=0, dtype=np.float64)
         net.weights[1][:] = np.array([[1.0], [-1.0]])
@@ -146,13 +147,15 @@ class TestGradients:
         _, dw, db = loss_and_grads(net, x, np.array([0, 1]))
         for i in net.parametric_indices:
             assert dw[i].shape == net.weights[i].shape
-            if net.biases[i] is not None:
-                assert db[i].shape == net.biases[i].shape
+            assert db[i].shape == net.biases[i].shape
 
 
 class TestSgdStep:
+    # the singleton net's bias gradient; its bias starts at 0 and stays there
+    ZERO_DB = [np.zeros(1), None]
+
     def _singleton_net(self, w0, wd=0.0):
-        defs = [{"kind": "fc", "out_features": 1, "bias": False},
+        defs = [{"kind": "fc", "out_features": 1},
                 {"kind": "softmax-xent"}]
         net = build_network(defs, (1, 1, 1), seed=0, dtype=np.float64)
         net.weights[0][:] = w0
@@ -163,19 +166,15 @@ class TestSgdStep:
         # constant, so only weight decay moves the weights
         net = self._singleton_net(1.0)
         cfg = TrainConfig(base_lr=0.1, momentum=0.0, weight_decay=0.5)
-        zero = [None] * len(net.layers)
-        g = [None, None]
-        g[0] = np.zeros((1, 1))
-        sgd_step(net, g, zero, cfg)
+        sgd_step(net, [np.zeros((1, 1)), None], self.ZERO_DB, cfg)
         assert net.weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 0.5, abs=1e-15)
 
     def test_momentum_accumulates(self):
         net = self._singleton_net(0.0)
         cfg = TrainConfig(base_lr=1.0, momentum=0.5, weight_decay=0.0)
         g = [np.ones((1, 1)), None]
-        zero = [None, None]
-        sgd_step(net, g, zero, cfg)
-        sgd_step(net, g, zero, cfg)
+        sgd_step(net, g, self.ZERO_DB, cfg)
+        sgd_step(net, g, self.ZERO_DB, cfg)
         # v1 = 1, w1 = -1; v2 = 1.5, w2 = -2.5
         assert net.weights[0][0, 0] == pytest.approx(-2.5, abs=1e-15)
 
@@ -183,7 +182,7 @@ class TestSgdStep:
         net = self._singleton_net(0.0)
         cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
         g = [np.zeros((1, 1)), None]
-        sgd_step(net, g, [None, None], cfg)
+        sgd_step(net, g, self.ZERO_DB, cfg)
         assert net.iteration == 1
 
     def test_masks_pin_exact_zeros_over_steps(self):
@@ -204,9 +203,9 @@ class TestSgdStep:
             assert not net.vel_w[i][0].any()
 
     def test_uniform_extra_factor_equals_larger_decay_bitwise(self):
-        defs = [{"kind": "conv", "filters": 3, "kernel": 2, "bias": False},
+        defs = [{"kind": "conv", "filters": 3, "kernel": 2},
                 {"kind": "relu"},
-                {"kind": "fc", "out_features": 3, "bias": False},
+                {"kind": "fc", "out_features": 3},
                 {"kind": "softmax-xent"}]
         a = build_network(defs, (1, 4, 4), seed=8)
         b = copy.deepcopy(a)
@@ -217,13 +216,15 @@ class TestSgdStep:
         cfg_a = TrainConfig(weight_decay=0.004)
         # the same float64 sum is what the extra-factor path rounds once
         cfg_b = TrainConfig(weight_decay=0.004 + extra)
+        # biases see only the base decay, so both nets pin theirs at zero
+        pin = {i: np.zeros(len(a.biases[i]), dtype=bool) for i in a.parametric_indices}
         for _ in range(20):
             _, dw, db = loss_and_grads(a, x, y)
             reg = {i: np.full(a.weights[i].shape, extra, dtype=np.float64)
                    for i in a.parametric_indices}
-            sgd_step(a, dw, db, cfg_a, reg=reg)
+            sgd_step(a, dw, db, cfg_a, reg=reg, bias_masks=pin)
             _, dw, db = loss_and_grads(b, x, y)
-            sgd_step(b, dw, db, cfg_b)
+            sgd_step(b, dw, db, cfg_b, bias_masks=pin)
         for i in a.parametric_indices:
             assert a.weights[i].tobytes() == b.weights[i].tobytes()
             assert a.vel_w[i].tobytes() == b.vel_w[i].tobytes()
@@ -233,7 +234,7 @@ class TestSgdStep:
         cfg = TrainConfig()
         g = [np.zeros((1, 1)), None]
         with pytest.raises(ValueError):
-            sgd_step(net, g, [None, None], cfg,
+            sgd_step(net, g, self.ZERO_DB, cfg,
                      reg={0: np.array([[-0.1]])})
 
 
@@ -327,6 +328,23 @@ class TestResolveLayers:
         with pytest.raises(ValueError):
             resolve_layers([{"kind": "batchnorm"}], (1, 2, 2))
 
-    def test_fc_always_prune_exempt(self):
+    def test_layer_defs_round_trip(self):
         layers = resolve_layers(TINY_DEFS, TINY_SHAPE)
-        assert layers[5].prune_exempt
+        assert resolve_layers([layer_def(l) for l in layers], TINY_SHAPE) == layers
+        pair = resolve_layers([{"kind": "conv", "filters": 3, "kernel": (2, 1)},
+                               {"kind": "fc", "out_features": 2}], (1, 4, 4))
+        assert (pair[0].geom.kernel_h, pair[0].geom.kernel_w) == (2, 1)
+
+    @pytest.mark.parametrize("layer, says", [
+        ({"kind": "conv", "filters": 2, "stride": True}, "layer 0: stride must be an integer"),
+        ({"kind": "conv", "filters": 2, "kernel": (2, 2, 2)},
+         "layer 0: kernel must be an integer or a pair of them"),
+        ({"kind": "conv", "filters": np.int64(2)}, "layer 0: filters must be an integer"),
+        ({"kind": "maxpool", "kernel": 2}, "layer 0: unknown key 'kernel' for maxpool"),
+        ({"kind": "conv"}, "layer 0: conv needs a positive filters"),
+        ({"kind": "conv", "filters": -1}, "layer 0: conv needs a positive filters"),
+        ({"kind": ["conv"]}, "layer 0: unknown kind ['conv']"),
+    ])
+    def test_schema_rejects(self, layer, says):
+        with pytest.raises(ValueError, match=re.escape(says)):
+            resolve_layers([layer, {"kind": "fc", "out_features": 2}], (1, 4, 4))

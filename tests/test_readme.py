@@ -1,5 +1,5 @@
 """README's "Library use" block runs as written against the package, and its
-configuration block shows the defaults."""
+configuration section shows the defaults and the layer schema."""
 
 import os
 import re
@@ -7,15 +7,19 @@ import re
 import yaml
 
 from increg.config import default_config, parse_config
+from increg.network import LAYER_KEYS
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
-def fenced_block(heading: str, lang: str) -> str:
+def section(heading: str) -> str:
     with open(README) as f:
         text = f.read()
-    section = text.split(f"## {heading}", 1)[1]
-    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+    return text.split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
+
+
+def fenced_block(heading: str, lang: str) -> str:
+    return re.search(rf"```{lang}\n(.*?)```", section(heading), re.S).group(1)
 
 
 def test_library_use_block_runs(capsys):
@@ -39,3 +43,14 @@ def test_configuration_block_shows_the_defaults():
                 assert val == default[key], f"README shows {path}{key}: {val!r}"
 
     same(block, default_config(), "")
+
+
+def test_layer_key_table_matches_the_schema():
+    shown = {}
+    for kind, cell in re.findall(r"^\| `([\w-]+)` \| (.*) \|$", section("Configuration"), re.M):
+        keys = {}
+        for entry in ([] if cell == "none" else cell.split(", ")):
+            key, default = re.fullmatch(r"`(\w+)` \((required|\d+)\)", entry).groups()
+            keys[key] = None if default == "required" else int(default)
+        shown[kind] = keys
+    assert shown == LAYER_KEYS

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import increg.network as network
 
 from helpers import report_rows
+from increg.compact import build_plan
 from increg.data import make_blobs
 from increg.network import (
     TrainConfig,
@@ -354,15 +355,13 @@ class TestTargets:
         with pytest.raises(ScheduleError):
             build_groups(net, PruneSchedule(ratio=0.5, speed=1.0), 0)
 
-    def test_non_conv_and_exempt_layers_rejected(self):
+    def test_non_conv_layer_rejected(self):
         defs = [
-            {"kind": "conv", "filters": 4, "kernel": 1, "prune_exempt": True},
+            {"kind": "conv", "filters": 4, "kernel": 1},
             {"kind": "fc", "out_features": 2},
             {"kind": "softmax-xent"},
         ]
         net = build_network(defs, (4, 1, 1), seed=0)
-        with pytest.raises(ScheduleError):
-            build_groups(net, PruneSchedule(ratio=0.1, speed=1.0), 0)
         with pytest.raises(ScheduleError):
             build_groups(net, PruneSchedule(ratio=0.1, speed=1.0), 1)
 
@@ -674,6 +673,21 @@ class TestRunPruning:
             rows = [r for r in final if r[1] == layer]
             pruned_ranks = sorted(r[5] for r in rows if r[7])
             assert pruned_ranks == list(range(len(pruned_ranks)))
+
+    def test_zero_ratio_layer_stays_whole(self):
+        # a per-layer ratio of 0 is how a conv is left unpruned
+        x, y = blob_data()
+        cfg = TrainConfig(base_lr=0.05, weight_decay=0.0, batch_size=32, max_iters=1200)
+        schedules = [PruneSchedule(ratio=0.5, speed=0.5, update_interval=2),
+                     PruneSchedule(ratio=0.0, speed=0.5, update_interval=2, layer=0)]
+        net, _, lgs = run_pruning(blob_net(), x, y, cfg, schedules, seed=11)
+        whole, cut = lgs
+        assert whole.layer == 0 and whole.target == 0
+        assert not whole.pruned.any() and not whole.lam.any()
+        assert cut.pruned_count == cut.target == 5
+        plan = build_plan(net, lgs)[0]
+        assert plan.keep_rows.tolist() == list(range(10))
+        assert plan.keep_cols.tolist() == list(range(10))
 
     def test_zero_ratio_matches_plain_training_bitwise(self):
         x, y = blob_data()
