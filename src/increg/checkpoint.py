@@ -91,9 +91,16 @@ def load_checkpoint(path):
     if not isinstance(meta, dict) or meta.get("format") != MAGIC.decode():
         raise CheckpointError(f"metadata format tag mismatch in {path}")
     try:
-        input_shape = tuple(meta["input_shape"])
+        input_shape, seed, iteration = meta["input_shape"], meta["seed"], meta["iteration"]
+        # plain ints only: int() would truncate a float, and a bool is no count
+        if not (isinstance(input_shape, list) and len(input_shape) == 3
+                and all(type(d) is int and d > 0 for d in input_shape)):
+            raise ValueError(f"input_shape must be three positive integers, got {input_shape!r}")
+        for key, val in (("seed", seed), ("iteration", iteration)):
+            if type(val) is not int:
+                raise ValueError(f"{key} must be an integer, got {val!r}")
+        input_shape = tuple(input_shape)
         layers = resolve_layers(meta["layers"], input_shape)
-        seed, iteration = int(meta["seed"]), int(meta["iteration"])
     except KeyError as e:
         raise CheckpointError(f"metadata in {path} lacks {e}") from e
     except (TypeError, ValueError) as e:

@@ -10,10 +10,11 @@ Conventions used throughout the package:
   order, so lowering is a plain ``reshape`` and round-trips bit-for-bit.
 
 Every lowering is a gather or a scatter through one cached index table per
-geometry, whose entry ``(col, position)`` is that lowered entry's flat offset
-in the padded image. im2col is one ``np.take`` through the table, or through
-its kept rows for a compacted conv; col2im is the matching scatter-add, one
-float64 ``bincount`` per chunk of samples.
+geometry, whose entry ``(col, position)`` is that lowered entry's slot: the
+image's pixels in image order, then the padding's. im2col is one ``np.take``
+from ``[image | zeros]`` through the table, or through its kept rows for a
+compacted conv; col2im is the matching scatter-add, one float64 ``bincount``
+per chunk of samples, whose image prefix is the result.
 """
 
 from __future__ import annotations
@@ -96,31 +97,44 @@ def im2col_batch(
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[1:] != (geom.in_channels, geom.in_h, geom.in_w):
         raise GeometryError(f"batch shape {x.shape} does not match geometry {geom}")
-    p = geom.pad
-    if p:
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     if rows is None:
         idx = _scatter_indices(geom)
     else:
         idx = _row_indices(geom, np.asarray(rows, dtype=np.intp).tobytes())
-    b, c, h, w = x.shape
-    return np.take(x.reshape(b, c * h * w), idx, axis=1)
+    b, image = len(x), geom.in_channels * geom.in_h * geom.in_w
+    if geom.pad:
+        src = np.empty((b, _slots(geom)), dtype=x.dtype)
+        src[:, :image] = x.reshape(b, image)
+        src[:, image:] = 0
+    else:
+        src = x.reshape(b, image)
+    return np.take(src, idx, axis=1)
+
+
+def _slots(geom: ConvGeometry) -> int:
+    """Pixels of the padded image: C * (H + 2 pad) * (W + 2 pad)."""
+    return geom.in_channels * (geom.in_h + 2 * geom.pad) * (geom.in_w + 2 * geom.pad)
 
 
 @functools.lru_cache(maxsize=64)
 def _scatter_indices(geom: ConvGeometry) -> np.ndarray:
-    """Flat index into the padded image of every (col, position) entry.
+    """Slot of every (col, position) entry: ``(c*H + r)*W + q`` for image
+    pixel ``(c, r, q)``, then the padding's pixels in padded-image order.
 
     Shape ``(cols, positions)`` and read-only: one array per geometry is
     cached and shared by im2col's gather and col2im's scatter.
     """
-    hp = geom.in_h + 2 * geom.pad
-    wp = geom.in_w + 2 * geom.pad
+    p, h, w = geom.pad, geom.in_h, geom.in_w
+    inside = np.zeros((geom.in_channels, h + 2 * p, w + 2 * p), dtype=bool)
+    inside[:, p : p + h, p : p + w] = True
+    slot = np.empty(inside.shape, dtype=np.intp)     # of each padded pixel
+    slot[inside] = np.arange(inside.sum())
+    slot[~inside] = np.arange(inside.sum(), inside.size)
     cm = col_map(geom)
     oh, ow = np.unravel_index(np.arange(geom.positions), (geom.out_h, geom.out_w))
     rows_h = oh[None, :] * geom.stride + cm[:, 1][:, None]   # (cols, positions)
     rows_w = ow[None, :] * geom.stride + cm[:, 2][:, None]
-    idx = (cm[:, 0][:, None] * hp + rows_h) * wp + rows_w
+    idx = slot[cm[:, 0][:, None], rows_h, rows_w]
     idx.flags.writeable = False
     return idx
 
@@ -143,19 +157,37 @@ def _row_indices(geom: ConvGeometry, rows: bytes) -> np.ndarray:
     return idx
 
 
-# Cap on the index entries of one col2im bincount. A larger table falls out
-# of cache: on convnet layer 3 at batch 32, one bincount over the whole batch
+# Cap on the entries one col2im bincount sums. A larger table falls out of
+# cache: on convnet layer 3 at batch 32, one bincount over the whole batch
 # was about 4x slower than one per sample.
 _CHUNK_ENTRIES = 16384
 
 
 @functools.lru_cache(maxsize=64)
+def _scatter_plan(geom: ConvGeometry) -> tuple[np.ndarray | None, np.ndarray, int]:
+    """``(kept, table, size)``: one sample's scatter. If at least a quarter
+    of the entries land in the padding, col2im first gathers the in-image
+    entries at raveled positions ``kept``, and sums them into the ``size``
+    image slots; else ``kept`` is None and all entries sum into every slot.
+    On lightly padded maps the gather costs more than the padding it skips.
+    """
+    table = _scatter_indices(geom).ravel()
+    image = geom.in_channels * geom.in_h * geom.in_w
+    inside = table < image
+    if 4 * (table.size - np.count_nonzero(inside)) < table.size:
+        return None, table, _slots(geom)
+    kept = np.flatnonzero(inside)
+    table = table[kept]
+    kept.flags.writeable = table.flags.writeable = False
+    return kept, table, image
+
+
+@functools.lru_cache(maxsize=64)
 def _chunk_indices(geom: ConvGeometry, samples: int) -> np.ndarray:
-    """The index table of ``samples`` consecutive images, raveled: sample s's
-    entries are the table offset by s times the padded image size."""
-    size = geom.in_channels * (geom.in_h + 2 * geom.pad) * (geom.in_w + 2 * geom.pad)
-    one = _scatter_indices(geom).ravel()
-    idx = (np.arange(samples)[:, None] * size + one[None, :]).ravel()
+    """The scatter table of ``samples`` consecutive images, raveled: sample
+    s's slots are the plan's table offset by s times its ``size``."""
+    _, table, size = _scatter_plan(geom)
+    idx = (np.arange(samples)[:, None] * size + table[None, :]).ravel()
     idx.flags.writeable = False
     return idx
 
@@ -164,27 +196,24 @@ def col2im_batch(cols: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     """Batched adjoint lowering: (batch, cols, positions) -> (batch, C, H, W).
 
     Overlapping windows sum in float64, in the table's order within each
-    sample, so the result does not depend on how the batch is chunked.
+    sample, so the result depends neither on the chunking nor on whether the
+    padding's entries are gathered out; each sum's image prefix is the output.
     """
     cols = np.asarray(cols)
     b = cols.shape[0]
-    hp = geom.in_h + 2 * geom.pad
-    wp = geom.in_w + 2 * geom.pad
-    size = geom.in_channels * hp * wp
-    per = max(_CHUNK_ENTRIES // (geom.cols * geom.positions), 1)
+    image = geom.in_channels * geom.in_h * geom.in_w
+    kept, table, size = _scatter_plan(geom)
+    per = max(_CHUNK_ENTRIES // max(table.size, 1), 1)   # empty if all read padding
     flat = cols.reshape(b, geom.cols * geom.positions)
-    out = np.empty((b, size), dtype=cols.dtype)
+    out = np.empty((b, image), dtype=cols.dtype)
     for s in range(0, b, per):
         n = min(per, b - s)
+        w = flat[s : s + n] if kept is None else np.take(flat[s : s + n], kept, axis=1)
         # bincount gives a fast deterministic scatter-add (stride overlaps sum)
-        summed = np.bincount(_chunk_indices(geom, n), weights=flat[s : s + n].ravel(),
+        summed = np.bincount(_chunk_indices(geom, n), weights=w.ravel(),
                              minlength=n * size)
-        out[s : s + n] = summed.reshape(n, size)
-    out = out.reshape(b, geom.in_channels, hp, wp)
-    p = geom.pad
-    if p:
-        out = out[:, :, p:-p, p:-p]
-    return np.ascontiguousarray(out)
+        out[s : s + n] = summed.reshape(n, size)[:, :image]
+    return out.reshape(b, geom.in_channels, geom.in_h, geom.in_w)
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:

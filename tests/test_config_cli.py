@@ -500,9 +500,13 @@ class TestCli:
          "layer 0: unknown key 'bias' for conv"),
         (lambda m: m["layers"][2].__setitem__("filters", 8.0),
          "layer 2: filters must be an integer, got 8.0"),
+        (lambda m: m["input_shape"].__setitem__(0, 9.9),
+         "input_shape must be three positive integers, got [9.9, 1, 1]"),
+        (lambda m: m.__setitem__("seed", True), "seed must be an integer, got True"),
+        (lambda m: m.__setitem__("iteration", 3.7), "iteration must be an integer, got 3.7"),
     ], ids=["unknown-kind", "no-seed", "scheduler-not-a-list", "meta-not-a-mapping",
             "flag-not-0-or-1", "flagged-group-not-zero", "unknown-layer-key",
-            "float-filters"])
+            "float-filters", "float-input-shape", "bool-seed", "float-iteration"])
     def test_bad_checkpoint_metadata_is_exit_2(self, pipeline_cfg, capsys, edit, says):
         cfg_path, out = pipeline_cfg
         cfg = parse_config(FAST_PIPELINE)

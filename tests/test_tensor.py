@@ -112,19 +112,65 @@ def col2im_bincount_reference(cols, g):
     return out[:, :, g.pad : g.pad + g.in_h, g.pad : g.pad + g.in_w]
 
 
-def random_geometry(rng):
+def random_geometry(rng, span=6):
+    """A random geometry whose image is the kernel plus up to ``span - 1``."""
     c = int(rng.integers(1, 4))
     kh = int(rng.integers(1, 4))
     kw = int(rng.integers(1, 4))
     stride = int(rng.integers(1, 3))
     pad = int(rng.integers(0, 3))
-    h = int(rng.integers(kh, kh + 6))
-    w = int(rng.integers(kw, kw + 6))
+    h = int(rng.integers(kh, kh + span))
+    w = int(rng.integers(kw, kw + span))
     # window must fit at least once after padding
     if h + 2 * pad < kh or w + 2 * pad < kw:
-        return random_geometry(rng)
+        return random_geometry(rng, span)
     return ConvGeometry(in_channels=c, in_h=h, in_w=w, kernel_h=kh,
                         kernel_w=kw, stride=stride, pad=pad)
+
+
+def window_pixels(g):
+    """Per (col, position) entry: its pixel's channel, row and column in the
+    unpadded image (row or column outside it in the padding), by loops."""
+    c = np.empty((g.cols, g.positions), dtype=np.intp)
+    r, q = np.empty_like(c), np.empty_like(c)
+    for col, (ch, u, v) in enumerate(col_map(g)):
+        for i in range(g.out_h):
+            for j in range(g.out_w):
+                pos = i * g.out_w + j
+                c[col, pos] = ch
+                r[col, pos] = i * g.stride + u - g.pad
+                q[col, pos] = j * g.stride + v - g.pad
+    return c, r, q
+
+
+def in_image(g):
+    """Which (col, position) entries read a pixel of the image, not padding."""
+    _, r, q = window_pixels(g)
+    return (r >= 0) & (r < g.in_h) & (q >= 0) & (q < g.in_w)
+
+
+def summed_entries(g):
+    """Entries a sample's col2im sums: only the in-image ones when at least a
+    quarter of the entries land in the padding, else all of them."""
+    entries = g.cols * g.positions
+    inside = int(in_image(g).sum())
+    return inside if 4 * (entries - inside) >= entries else entries
+
+
+def col2im_counting_entries(cols, g, monkeypatch):
+    """col2im_batch's result and the entry count of each bincount it ran."""
+    sizes, bincount = [], np.bincount
+    with monkeypatch.context() as m:
+        m.setattr(np, "bincount", lambda idx, **kw: sizes.append(len(idx))
+                  or bincount(idx, **kw))
+        return col2im_batch(cols, g), sizes
+
+
+def mixed_geometries(rng):
+    """50 random geometries, ten of them on larger, lightly padded images, so
+    that col2im's quarter rule falls either way on padded geometries."""
+    return ([random_geometry(rng) for _ in range(40)]
+            + [random_geometry(rng, span=14) for _ in range(10)])
 
 
 class TestGeometry:
@@ -210,6 +256,17 @@ class TestIm2col:
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
+    def test_kept_rows_and_strided_input_match_window_oracle(self):
+        rng = np.random.default_rng(35)
+        for g in mixed_geometries(rng):
+            # a transposed view, which is not C-contiguous unless C*H*W is 1
+            x = rng.standard_normal((g.in_w, g.in_h, g.in_channels, 3)).T
+            assert x.flags.c_contiguous == (g.in_channels * g.in_h * g.in_w == 1)
+            want = im2col_window_oracle(np.ascontiguousarray(x), g)
+            assert np.array_equal(im2col_batch(x, g), want)
+            keep = np.flatnonzero(rng.random(g.cols) < 0.5)
+            assert np.array_equal(im2col_batch(x, g, rows=keep), want[:, keep])
+
     def test_gemm_conv_matches_direct_50_geometries(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -264,6 +321,42 @@ class TestIm2col:
             im2col_batch(np.zeros((1, 1, 4, 4), dtype=np.float32), g)
 
 
+class TestIndexTable:
+    """The one table both lowerings share: image slots first, padding last."""
+
+    def test_image_entries_take_their_image_offset(self):
+        rng = np.random.default_rng(36)
+        for g in mixed_geometries(rng):
+            table = tensor._scatter_indices(g)
+            c, r, q = window_pixels(g)
+            inside = in_image(g)
+            image = g.in_channels * g.in_h * g.in_w
+            assert np.array_equal(table < image, inside)
+            assert np.array_equal(table[inside], ((c * g.in_h + r) * g.in_w + q)[inside])
+
+    def test_slots_permute_the_padded_image(self):
+        # one slot per padded pixel and one padded pixel per slot
+        rng = np.random.default_rng(37)
+        for g in mixed_geometries(rng):
+            hp, wp = g.in_h + 2 * g.pad, g.in_w + 2 * g.pad
+            c, r, q = window_pixels(g)
+            padded = ((c * hp + r + g.pad) * wp + q + g.pad).ravel()
+            table = tensor._scatter_indices(g).ravel()
+            assert table.min() >= 0 and table.max() < g.in_channels * hp * wp
+            slot_of = np.full(g.in_channels * hp * wp, -1)
+            slot_of[padded] = table
+            assert np.array_equal(slot_of[padded], table)   # a function of the pixel
+            seen = slot_of[slot_of >= 0]
+            assert len(np.unique(seen)) == len(seen)         # and one-to-one
+
+    def test_all_ones_lower_to_zero_exactly_in_the_padding(self):
+        rng = np.random.default_rng(38)
+        for g in mixed_geometries(rng):
+            ones = np.ones((2, g.in_channels, g.in_h, g.in_w), dtype=np.float32)
+            cols = im2col_batch(ones, g)
+            assert np.array_equal(cols == 0, np.broadcast_to(~in_image(g), cols.shape))
+
+
 class TestCol2im:
     def test_adjoint_of_im2col(self):
         # <im2col(x), C> == <x, col2im(C)> for all C: the scatter is the
@@ -310,25 +403,48 @@ class TestCol2im:
         for i in range(3):
             assert np.array_equal(batch[i], col2im_batch(cols[i : i + 1], g)[0])
 
+    @pytest.mark.parametrize("batch", [1, 33])
+    def test_matches_bincount_reference_50_geometries(self, batch, monkeypatch):
+        rng = np.random.default_rng(51 + batch)
+        geoms = mixed_geometries(rng)
+        gathered = [summed_entries(g) < g.cols * g.positions for g in geoms]
+        # padded geometries on both sides of the quarter rule
+        assert any(gathered) and any(g.pad and not s for g, s in zip(geoms, gathered))
+        for g in geoms:
+            for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
+                cols = rng.standard_normal((batch, g.cols, g.positions)).astype(dtype)
+                got, sizes = col2im_counting_entries(cols, g, monkeypatch)
+                assert sum(sizes) == batch * summed_entries(g)
+                want = np.ascontiguousarray(col2im_bincount_reference(cols, g))
+                assert got.shape == want.shape and got.dtype == dtype
+                assert np.array_equal(got.view(bits), want.view(bits))
 
     @pytest.mark.parametrize("geom, batch, chunks", [
         # toy layer 3 (288 entries a sample): the whole batch is one chunk
         (ConvGeometry(in_channels=8, in_h=4, in_w=4, kernel_h=2, kernel_w=2), 33, 1),
-        # 2,187 entries a sample, 7 samples a chunk: 4 chunks, the last of 1
+        # 2,187 entries a sample, 14% in the padding, so all are summed;
+        # 7 samples a chunk: 4 chunks, the last of 1
         (ConvGeometry(in_channels=3, in_h=9, in_w=9, kernel_h=3, kernel_w=3,
                       pad=1), 22, 4),
         # 19,200 entries a sample, more than a chunk holds: one sample a chunk
         (ConvGeometry(in_channels=3, in_h=16, in_w=16, kernel_h=5, kernel_w=5,
                       pad=2), 3, 3),
+        # convnet layer 3: 51% of 12,800 entries in the padding, so the 6,272
+        # in-image ones are summed; 2 samples a chunk: 3 chunks, the last of 1
+        (ConvGeometry(in_channels=32, in_h=4, in_w=4, kernel_h=5, kernel_w=5,
+                      pad=2), 5, 3),
     ])
-    def test_chunked_scatter_matches_per_sample_bincount(self, geom, batch, chunks):
-        entries = geom.cols * geom.positions
-        per = max(tensor._CHUNK_ENTRIES // entries, 1)
+    def test_chunked_scatter_matches_per_sample_bincount(self, geom, batch, chunks,
+                                                         monkeypatch):
+        summed = summed_entries(geom)
+        per = max(tensor._CHUNK_ENTRIES // summed, 1)
         assert -(-batch // per) == chunks
-        rng = np.random.default_rng(entries)
+        rng = np.random.default_rng(summed)
         for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
             cols = rng.standard_normal((batch, geom.cols, geom.positions)).astype(dtype)
-            got = col2im_batch(cols, geom)
+            got, sizes = col2im_counting_entries(cols, geom, monkeypatch)
+            # the scatter sums exactly these entries, in these chunks
+            assert len(sizes) == chunks and sum(sizes) == batch * summed
             want = col2im_bincount_reference(cols, geom)
             assert got.shape == want.shape and got.dtype == dtype
             assert np.array_equal(got.view(bits), np.ascontiguousarray(want).view(bits))
