@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkState, apply_layer, input_batch, layer_def, resolve_layers
+from .network import (NetworkState, _batch_major, apply_layer, input_batch, layer_def,
+                      resolve_layers)
 from .scheduler import LayerGroups, check_pruned_zero
 
 
@@ -106,7 +107,7 @@ class CompactNetwork(NetworkState):
         x = self.prepare_input(x)
         for i in range(len(self.layers)):
             x = self.apply_layer(i, x)
-        return x.reshape(x.shape[0], -1)
+        return _batch_major(x)
 
 
 def compact(net: NetworkState, plan: dict[int, ConvPlan]) -> CompactNetwork:
@@ -198,8 +199,9 @@ def bench(
 ) -> dict:
     """Median, IQR and mean wall time per forward pass for both networks.
 
-    Each repeat times one masked and then one compacted forward, so drift
-    in the host's speed reaches both sides alike. Layer rows and the
+    Each repeat prepares one batch with ``cnet.prepare_input``, untimed, and
+    times one masked and then one compacted forward of it, so drift in the
+    host's speed reaches both sides alike. Layer rows and the
     ``flops`` totals carry each network's own FLOP counts. Times come from
     a monotonic clock; the report records enough machine metadata to
     interpret the (machine-dependent) ratios later.
@@ -216,8 +218,9 @@ def bench(
 
     base, pruned = [], []
     for k in range(warmup + repeats):
-        b = _timed_forward(masked, x, depth)
-        p = _timed_forward(cnet.apply_layer, cnet.prepare_input(x), depth)
+        xb = cnet.prepare_input(x)      # the one batch both sides run, untimed
+        b = _timed_forward(masked, xb, depth)
+        p = _timed_forward(cnet.apply_layer, xb, depth)
         if k >= warmup:
             base.append(b)
             pruned.append(p)

@@ -285,16 +285,15 @@ def build_network(
 
 
 def apply_layer(net: NetworkState, i: int, x: np.ndarray):
-    """Run layer i on activation x; returns (output, cache for backward)."""
+    """Run layer i on the batch-minor activation x (see :func:`input_batch`);
+    returns (output, cache for backward)."""
     spec = net.layers[i]
     if spec.kind == "conv":
         g = spec.geom
-        cols = im2col_batch(x, g, rows=spec.keep_cols)  # (B, K, P)
-        w2 = net.weights[i].reshape(spec.filters, -1)
-        y = np.matmul(w2, cols)                         # (B, N, P)
+        cols = im2col_batch(x, g, rows=spec.keep_cols)  # (K, P*B)
+        y = net.weights[i].reshape(spec.filters, -1) @ cols   # (N, P*B)
         y += net.biases[i][:, None]
-        y = y.reshape(x.shape[0], spec.filters, g.out_h, g.out_w)
-        return y, ("conv", cols)
+        return y.reshape(spec.filters, g.out_h, g.out_w, x.shape[3]), ("conv", cols)
     if spec.kind == "relu":
         y = np.maximum(x, 0)
         return y, ("relu", y)
@@ -302,38 +301,48 @@ def apply_layer(net: NetworkState, i: int, x: np.ndarray):
         y = maxpool2x2(x)
         return y, ("maxpool", x, y)
     if spec.kind == "fc":
-        flat = x.reshape(x.shape[0], -1)
-        if flat.shape[1] != spec.in_features:
+        flat = x.reshape(-1, x.shape[-1])                # (F, B)
+        if flat.shape[0] != spec.in_features:
             raise ShapeError(
-                f"layer {i}: fc expects {spec.in_features} features, got {flat.shape[1]}"
+                f"layer {i}: fc expects {spec.in_features} features, got {flat.shape[0]}"
             )
-        y = flat @ net.weights[i].T
-        y += net.biases[i]
+        y = net.weights[i] @ flat
+        y += net.biases[i][:, None]
         return y, ("fc", flat, x.shape)
     # softmax-xent is a terminal marker; the loss lives in softmax_xent()
     return x, ("softmax-xent",)
 
 
 def input_batch(net: NetworkState, x: np.ndarray) -> np.ndarray:
-    """x as a batch of net.dtype, after checking it matches net.input_shape."""
-    x = np.asarray(x, dtype=net.dtype)
+    """A (B, C, H, W) batch as the layers' batch-minor (C, H, W, B) array of
+    net.dtype, after checking it matches net.input_shape.
+
+    Every activation inside the engine keeps the batch as its last axis, so
+    a conv lowers the whole batch to one matrix; this is the one transpose
+    on the way in, and :func:`_batch_major` the one on the way out.
+    """
+    x = np.asarray(x)
     if x.ndim != 4 or x.shape[1:] != net.input_shape:
         raise ShapeError(
             f"batch shape {x.shape} does not match input shape {net.input_shape}"
         )
-    return x
+    return np.array(x.transpose(1, 2, 3, 0), dtype=net.dtype, order="C")
+
+
+def _batch_major(x: np.ndarray) -> np.ndarray:
+    """A batch-minor activation as (B, features) rows, e.g. the logits."""
+    return np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
 
 
 def forward(net: NetworkState, x: np.ndarray):
-    """Full forward pass; returns (logits, list of per-layer caches)."""
+    """Full forward pass of a (B, C, H, W) batch; returns ((B, classes)
+    logits, list of per-layer caches)."""
     x = input_batch(net, x)
     caches = []
     for i in range(len(net.layers)):
         x, cache = apply_layer(net, i, x)
         caches.append(cache)
-    if x.ndim != 2:
-        x = x.reshape(x.shape[0], -1)
-    return x, caches
+    return _batch_major(x), caches
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
@@ -356,24 +365,21 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
 
 
 def layer_backward(net: NetworkState, i: int, cache, dy: np.ndarray, need_dx: bool):
-    """Backprop through layer i; returns (dx, dw, db)."""
+    """Backprop the batch-minor gradient dy through layer i; returns (dx, dw, db)."""
     spec = net.layers[i]
     tag = cache[0]
     if tag != spec.kind:
         raise ValueError(f"layer {i}: cache is for {tag!r}, layer is {spec.kind!r}")
     if spec.kind == "conv":
-        g = spec.geom
         cols = cache[1]
-        b, _, _ = cols.shape
-        dym = dy.reshape(b, spec.filters, g.positions)
+        dy2 = dy.reshape(spec.filters, -1)               # (N, P*B)
         # one GEMM over the batch and position axes together
-        dw = np.tensordot(dym, cols, axes=([0, 2], [0, 2])).reshape(net.weights[i].shape)
-        db = dym.sum(axis=(0, 2))
+        dw = (dy2 @ cols.T).reshape(net.weights[i].shape)
+        db = dy2.sum(axis=1)
         dx = None
         if need_dx:
-            w2 = net.weights[i].reshape(spec.filters, g.cols)
-            dcols = np.matmul(w2.T, dym)
-            dx = col2im_batch(dcols, g)
+            w2 = net.weights[i].reshape(spec.filters, -1)
+            dx = col2im_batch(w2.T @ dy2, spec.geom, rows=spec.keep_cols)
         return dx, dw, db
     if spec.kind == "relu":
         return dy * (cache[1] > 0), None, None
@@ -381,9 +387,9 @@ def layer_backward(net: NetworkState, i: int, cache, dy: np.ndarray, need_dx: bo
         return maxpool2x2_backward(dy, cache[1], cache[2]), None, None
     if spec.kind == "fc":
         flat, in_shape = cache[1], cache[2]
-        dw = dy.T @ flat
-        db = dy.sum(axis=0)
-        dx = (dy @ net.weights[i]).reshape(in_shape) if need_dx else None
+        dw = dy @ flat.T
+        db = dy.sum(axis=1)
+        dx = (net.weights[i].T @ dy).reshape(in_shape) if need_dx else None
         return dx, dw, db
     return dy, None, None
 
@@ -399,7 +405,7 @@ def backward(net: NetworkState, caches: list, dlogits: np.ndarray):
     dweights: list[np.ndarray | None] = [None] * len(net.layers)
     dbiases: list[np.ndarray | None] = [None] * len(net.layers)
     first_param = net.parametric_indices[0]
-    dy = dlogits
+    dy = dlogits.T                                   # batch-minor, like the layers
     # layers below the first parametric one influence no parameter gradient
     for i in range(len(net.layers) - 1, first_param - 1, -1):
         dx, dw, db = layer_backward(net, i, caches[i], dy, need_dx=i > first_param)

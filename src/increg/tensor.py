@@ -4,17 +4,22 @@ Conventions used throughout the package:
 
 * a 4-D weight tensor is a C-contiguous float ndarray of shape
   ``(filters, channels, kernel_h, kernel_w)``,
-* an activation batch is ``(batch, channels, height, width)``,
+* inside the engine an activation batch is batch-minor, ``(channels,
+  height, width, batch)``, so a whole minibatch lowers to one matrix and a
+  conv is one GEMM; ``network.input_batch`` makes the one transpose from the
+  ``(batch, channels, height, width)`` that the public entry points take,
 * the lowered view of a kernel is the ``(filters, channels*kernel_h*kernel_w)``
   matrix whose columns walk ``(channel, kernel_row, kernel_col)`` in row-major
   order, so lowering is a plain ``reshape`` and round-trips bit-for-bit.
 
 Every lowering is a gather or a scatter through one cached index table per
 geometry, whose entry ``(col, position)`` is that lowered entry's slot: the
-image's pixels in image order, then the padding's. im2col is one ``np.take``
-from ``[image | zeros]`` through the table, or through its kept rows for a
-compacted conv; col2im is the matching scatter-add, one float64 ``bincount``
-per chunk of samples, whose image prefix is the result.
+image's pixels in image order, then the padding's. im2col is one row gather,
+``np.take(..., axis=0)``, from the ``(slots, batch)`` array ``[image |
+zeros]`` through the table, or through its kept rows for a compacted conv,
+so each entry copies ``batch`` contiguous floats; col2im is the matching
+scatter-add, one float64 ``bincount`` at ``slot * batch + sample``, whose
+image prefix is the result.
 """
 
 from __future__ import annotations
@@ -88,27 +93,32 @@ def col_map(geom: ConvGeometry) -> np.ndarray:
 def im2col_batch(
     x: np.ndarray, geom: ConvGeometry, rows: np.ndarray | None = None
 ) -> np.ndarray:
-    """Batched lowering: (batch, C, H, W) -> (batch, cols, positions).
+    """Batched lowering: (C, H, W, batch) -> (cols, positions * batch).
 
-    ``rows``, if given, is a strictly increasing array of lowered-row
-    indices to emit (a compacted conv builds only the rows its kept columns
-    read), and the output is ``(batch, len(rows), positions)``.
+    Entry ``(col, p * batch + n)`` is sample n's pixel under lowered row col
+    at position p, so the whole batch is one matrix. ``rows``, if given, is
+    a strictly increasing array of lowered-row indices to emit (a compacted
+    conv builds only the rows its kept columns read), and the output is
+    ``(len(rows), positions * batch)``.
     """
     x = np.asarray(x)
-    if x.ndim != 4 or x.shape[1:] != (geom.in_channels, geom.in_h, geom.in_w):
+    if x.ndim != 4 or x.shape[:3] != (geom.in_channels, geom.in_h, geom.in_w):
         raise GeometryError(f"batch shape {x.shape} does not match geometry {geom}")
-    if rows is None:
-        idx = _scatter_indices(geom)
-    else:
-        idx = _row_indices(geom, np.asarray(rows, dtype=np.intp).tobytes())
-    b, image = len(x), geom.in_channels * geom.in_h * geom.in_w
+    idx = _row_indices(geom, _row_key(rows))
+    b, image = x.shape[3], geom.in_channels * geom.in_h * geom.in_w
     if geom.pad:
-        src = np.empty((b, _slots(geom)), dtype=x.dtype)
-        src[:, :image] = x.reshape(b, image)
-        src[:, image:] = 0
+        src = np.empty((_slots(geom), b), dtype=x.dtype)
+        src[:image] = x.reshape(image, b)
+        src[image:] = 0
     else:
-        src = x.reshape(b, image)
-    return np.take(src, idx, axis=1)
+        src = x.reshape(image, b)
+    # each table entry copies one contiguous row of ``batch`` floats
+    return np.take(src, idx, axis=0).reshape(len(idx), geom.positions * b)
+
+
+def _row_key(rows) -> bytes | None:
+    """A row set as the intp bytes the caches are keyed on; None stays None."""
+    return None if rows is None else np.asarray(rows, dtype=np.intp).tobytes()
 
 
 def _slots(geom: ConvGeometry) -> int:
@@ -140,12 +150,15 @@ def _scatter_indices(geom: ConvGeometry) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _row_indices(geom: ConvGeometry, rows: bytes) -> np.ndarray:
-    """The index table's rows at ``rows`` (intp bytes), checked and cached.
+def _row_indices(geom: ConvGeometry, rows: bytes | None) -> np.ndarray:
+    """The index table's rows at ``rows`` (intp bytes), checked and cached;
+    the whole table when ``rows`` is None.
 
     A compacted conv lowers the same kept rows on every call, so the set is
     validated and sliced once per (geometry, row set).
     """
+    if rows is None:
+        return _scatter_indices(geom)
     keep = np.frombuffer(rows, dtype=np.intp)
     if keep.size and (keep.min() < 0 or keep.max() >= geom.cols):
         raise IndexError(f"rows contains indices outside [0, {geom.cols})")
@@ -157,21 +170,17 @@ def _row_indices(geom: ConvGeometry, rows: bytes) -> np.ndarray:
     return idx
 
 
-# Cap on the entries one col2im bincount sums. A larger table falls out of
-# cache: on convnet layer 3 at batch 32, one bincount over the whole batch
-# was about 4x slower than one per sample.
-_CHUNK_ENTRIES = 16384
-
-
 @functools.lru_cache(maxsize=64)
-def _scatter_plan(geom: ConvGeometry) -> tuple[np.ndarray | None, np.ndarray, int]:
-    """``(kept, table, size)``: one sample's scatter. If at least a quarter
-    of the entries land in the padding, col2im first gathers the in-image
-    entries at raveled positions ``kept``, and sums them into the ``size``
-    image slots; else ``kept`` is None and all entries sum into every slot.
-    On lightly padded maps the gather costs more than the padding it skips.
+def _scatter_plan(geom: ConvGeometry, rows: bytes | None
+                  ) -> tuple[np.ndarray | None, np.ndarray, int]:
+    """``(kept, table, size)``: one sample's scatter of the rows at ``rows``.
+    If at least a quarter of the entries land in the padding, col2im first
+    gathers the in-image entries at raveled positions ``kept``, and sums
+    them into the ``size`` image slots; else ``kept`` is None and all
+    entries sum into every slot. On lightly padded maps the gather costs
+    more than the padding it skips.
     """
-    table = _scatter_indices(geom).ravel()
+    table = _row_indices(geom, rows).ravel()
     image = geom.in_channels * geom.in_h * geom.in_w
     inside = table < image
     if 4 * (table.size - np.count_nonzero(inside)) < table.size:
@@ -183,43 +192,49 @@ def _scatter_plan(geom: ConvGeometry) -> tuple[np.ndarray | None, np.ndarray, in
 
 
 @functools.lru_cache(maxsize=64)
-def _chunk_indices(geom: ConvGeometry, samples: int) -> np.ndarray:
-    """The scatter table of ``samples`` consecutive images, raveled: sample
-    s's slots are the plan's table offset by s times its ``size``."""
-    _, table, size = _scatter_plan(geom)
-    idx = (np.arange(samples)[:, None] * size + table[None, :]).ravel()
+def _batch_indices(geom: ConvGeometry, rows: bytes | None, batch: int) -> np.ndarray:
+    """The plan's scatter for ``batch`` samples, raveled: entry e of sample
+    n goes to bin ``table[e] * batch + n``."""
+    table = _scatter_plan(geom, rows)[1]
+    idx = (table[:, None] * batch + np.arange(batch)).ravel()
     idx.flags.writeable = False
     return idx
 
 
-def col2im_batch(cols: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Batched adjoint lowering: (batch, cols, positions) -> (batch, C, H, W).
+def col2im_batch(cols: np.ndarray, geom: ConvGeometry,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """Batched adjoint lowering: (cols, positions * batch) -> (C, H, W, batch).
 
-    Overlapping windows sum in float64, in the table's order within each
-    sample, so the result depends neither on the chunking nor on whether the
-    padding's entries are gathered out; each sum's image prefix is the output.
+    ``rows`` names the lowered rows that ``cols`` holds, as for
+    :func:`im2col_batch`; the rows left out add nothing. Every entry sums in
+    one float64 ``bincount`` at ``slot * batch + sample``, so each pixel of
+    each sample sums its entries in the table's ``(col, position)`` order, as
+    a per-sample bincount would, whether or not the padding's entries are
+    gathered out first; each sum's image prefix is the output.
     """
+    key = _row_key(rows)
+    kept, _, size = _scatter_plan(geom, key)
     cols = np.asarray(cols)
-    b = cols.shape[0]
+    k = len(_row_indices(geom, key))
+    if cols.ndim != 2 or cols.shape[0] != k or cols.shape[1] % geom.positions:
+        raise ShapeError(f"lowered shape {cols.shape} does not match the {k} rows "
+                         f"of geometry {geom}")
+    b = cols.shape[1] // geom.positions
+    flat = cols.reshape(-1, b)                       # one row per table entry
+    if kept is not None:
+        flat = np.take(flat, kept, axis=0)
+    # bincount gives a fast deterministic scatter-add (stride overlaps sum)
+    summed = np.bincount(_batch_indices(geom, key, b), weights=flat.ravel(),
+                         minlength=size * b)
     image = geom.in_channels * geom.in_h * geom.in_w
-    kept, table, size = _scatter_plan(geom)
-    per = max(_CHUNK_ENTRIES // max(table.size, 1), 1)   # empty if all read padding
-    flat = cols.reshape(b, geom.cols * geom.positions)
-    out = np.empty((b, image), dtype=cols.dtype)
-    for s in range(0, b, per):
-        n = min(per, b - s)
-        w = flat[s : s + n] if kept is None else np.take(flat[s : s + n], kept, axis=1)
-        # bincount gives a fast deterministic scatter-add (stride overlaps sum)
-        summed = np.bincount(_chunk_indices(geom, n), weights=w.ravel(),
-                             minlength=n * size)
-        out[s : s + n] = summed.reshape(n, size)[:, :image]
-    return out.reshape(b, geom.in_channels, geom.in_h, geom.in_w)
+    return summed[: image * b].astype(cols.dtype).reshape(
+        geom.in_channels, geom.in_h, geom.in_w, b)
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:
-    """2x2 max pool with stride 2: (B, C, H, W) -> (B, C, H/2, W/2), H and W even."""
-    return np.maximum(np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
-                      np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]))
+    """2x2 max pool with stride 2: (C, H, W, B) -> (C, H/2, W/2, B), H and W even."""
+    return np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+                      np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
 
 
 def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -233,8 +248,8 @@ def maxpool2x2_backward(dy: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndar
     taken = np.zeros(y.shape, dtype=bool)            # windows already routed
     for i in (0, 1):
         for j in (0, 1):
-            hit = x[:, :, i::2, j::2] == y
+            hit = x[:, i::2, j::2] == y
             hit &= ~taken
             taken |= hit
-            dx[:, :, i::2, j::2] = np.where(hit, dy, 0)
+            dx[:, i::2, j::2] = np.where(hit, dy, 0)
     return dx

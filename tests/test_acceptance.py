@@ -220,8 +220,10 @@ def test_criterion_4_oracle_equivalences(capsys):
             w = rng.standard_normal(
                 (filters, geom.in_channels, geom.kernel_h, geom.kernel_w))
             direct = conv_direct(x, w, geom)
-            cols = im2col_batch(x, geom)
-            gemm = np.matmul(w.reshape(filters, -1), cols).reshape(direct.shape)
+            # the engine's batch-minor layout: (C, H, W, B) in, (F, oh, ow, B) out
+            cols = im2col_batch(x.transpose(1, 2, 3, 0), geom)
+            gemm = (w.reshape(filters, -1) @ cols).reshape(
+                filters, geom.out_h, geom.out_w, len(x)).transpose(3, 0, 1, 2)
             rel = np.max(np.abs(direct - gemm)) / max(1.0, np.max(np.abs(direct)))
             worst_conv = max(worst_conv, float(rel))
         assert worst_conv <= 1e-6

@@ -16,7 +16,8 @@ from increg.compact import (
     render_table,
     write_bench_report,
 )
-from increg.network import build_network, forward
+from increg.config import parse_config
+from increg.network import build_network, forward, loss_and_grads
 from increg.scheduler import (
     PruneSchedule,
     build_all_groups,
@@ -345,6 +346,44 @@ def test_random_prunes_count_from_the_compacted_net(data):
     np.testing.assert_allclose(cnet.forward(x), logits_of(net, x), atol=1e-5, rtol=1e-5)
 
 
+@pytest.mark.parametrize("preset, shape, kinds", [
+    ("toy", (1, 8, 8), {0: "row", 3: "column"}),
+    ("convnet", (3, 16, 16), {0: "column", 3: "column", 6: "row"}),
+    ("convnet", (3, 16, 16), {0: "row", 3: "channel", 6: "column"}),
+])
+def test_compacted_backward_matches_masked(preset, shape, kinds):
+    # a conv that lost columns scatters only its kept lowered rows back
+    net = build_network(parse_config({"architecture": {"preset": preset}}).arch_defs,
+                        shape, seed=11)
+    rng = np.random.default_rng(12)
+    lgs = []
+    for i, kind in kinds.items():
+        lg = build_groups(net, PruneSchedule(ratio=0.5, speed=1.0, kind=kind), i)
+        drop = rng.choice(lg.n_groups, size=lg.n_groups // 2, replace=False)
+        lgs.append(prune_indices(net, lg, drop.tolist()))
+    plan = build_plan(net, lgs)
+    cnet = compact(net, plan)
+    assert any(spec.keep_cols is not None for spec in cnet.layers[1:])
+    x = batch(shape, n=7)
+    y = rng.integers(0, net.n_classes(), 7)
+    loss, dw, db = loss_and_grads(net, x, y)
+    closs, cdw, cdb = loss_and_grads(cnet, x, y)
+    assert abs(closs - loss) <= 1e-5 * abs(loss)
+    for i in net.parametric_indices:
+        if i in plan:
+            rows, cols = plan[i].keep_rows, plan[i].keep_cols
+            want_w = dw[i].reshape(len(dw[i]), -1)[np.ix_(rows, cols)]
+            want_b, arriving = db[i][rows], rows
+        else:                           # the fc reads the kept filters' slices
+            hw = cnet.layers[i].in_features // len(arriving)
+            want_w = dw[i][:, (arriving[:, None] * hw + np.arange(hw)).ravel()]
+            want_b = db[i]
+        got_w = cdw[i].reshape(want_w.shape)
+        for got, want in ((got_w, want_w), (cdb[i], want_b)):
+            np.testing.assert_allclose(got, want, rtol=1e-5,
+                                       atol=1e-5 * np.abs(want).max())
+
+
 class TestBench:
     def make(self):
         net = chain_net(seed=3)
@@ -392,7 +431,8 @@ class TestBench:
                                 calls.append(name) or hook(self, *a))
         bench(net, cnet, batch=2, repeats=10, warmup=1)
         depth = len(net.layers)
-        one = ["timed", "prepare_input", "timed", *["apply_layer"] * depth]
+        # both sides start from the one batch prepared outside the timed layers
+        one = ["prepare_input", "timed", "timed", *["apply_layer"] * depth]
         assert calls == one * 11
 
     def test_report_round_trips_as_json(self, tmp_path):

@@ -275,6 +275,14 @@ FAST_PIPELINE = {
 }
 
 
+def test_cli_reexports_load_dataset():
+    # perfbench's set-up probe imports load_dataset from increg.cli
+    import increg.cli
+    import increg.data
+
+    assert increg.cli.load_dataset is increg.data.load_dataset
+
+
 def read_json(path):
     with open(path) as f:
         return json.load(f)

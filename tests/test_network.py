@@ -6,7 +6,9 @@ import re
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from increg.config import parse_config
 from increg.network import (
     NetworkState,
     TrainConfig,
@@ -69,9 +71,10 @@ class TestForward:
         net = build_network(defs, (2, 3, 3), seed=0, dtype=np.float64)
         net.weights[0][:] = np.eye(2).reshape(2, 2, 1, 1)
         x = np.random.default_rng(1).standard_normal((3, 2, 3, 3))
-        # forward caches hold each layer's input; the fc layer sees x itself
+        # forward caches hold each layer's input; the fc layer sees x itself,
+        # as the batch-minor (features, batch) matrix
         _, caches = forward(net, x)
-        assert np.array_equal(caches[1][1].reshape(x.shape), x)
+        assert np.array_equal(caches[1][1].T.reshape(x.shape), x)
 
     def test_relu_clamps(self):
         defs = [{"kind": "relu"}, {"kind": "fc", "out_features": 2},
@@ -106,6 +109,44 @@ class TestForward:
         assert loss <= 1e-12
 
 
+def reference_forward(net, x):
+    """Float64 logits of a (B, C, H, W) batch, layer by layer in that layout:
+    sliding-window conv, window-max pool, fc."""
+    a = np.asarray(x, dtype=np.float64)
+    for i, spec in enumerate(net.layers):
+        if spec.kind == "conv":
+            g, p = spec.geom, spec.geom.pad
+            padded = np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)))
+            win = sliding_window_view(padded, (g.kernel_h, g.kernel_w), axis=(2, 3))
+            win = win[:, :, :: g.stride, :: g.stride]     # (B, C, Ho, Wo, kh, kw)
+            a = np.einsum("bchwuv,fcuv->bfhw", win, net.weights[i].astype(np.float64))
+            a = a + net.biases[i][None, :, None, None]
+        elif spec.kind == "relu":
+            a = np.maximum(a, 0.0)
+        elif spec.kind == "maxpool":
+            b, c, h, w = a.shape
+            a = a.reshape(b, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+        elif spec.kind == "fc":
+            a = a.reshape(len(a), -1) @ net.weights[i].T.astype(np.float64) + net.biases[i]
+    return a
+
+
+@pytest.mark.parametrize("batch", [1, 7, 32])
+@pytest.mark.parametrize("preset, shape", [("toy", (1, 8, 8)), ("convnet", (3, 16, 16))])
+def test_forward_matches_float64_reference(preset, shape, batch):
+    # odd batch sizes reach every cache that is kept per batch size
+    net = build_network(parse_config({"architecture": {"preset": preset}}).arch_defs,
+                        shape, seed=5)
+    rng = np.random.default_rng(batch)
+    for i in net.parametric_indices:
+        net.biases[i][:] = rng.standard_normal(net.biases[i].shape)
+    x = rng.standard_normal((batch, *shape)).astype(np.float32)
+    got, _ = forward(net, x)
+    want = reference_forward(net, x)
+    assert got.shape == want.shape == (batch, net.n_classes())
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
 class TestGradients:
     def test_fd_every_layer_kind(self):
         net = build_network(TINY_DEFS, TINY_SHAPE, seed=2, dtype=np.float64)
@@ -134,12 +175,13 @@ class TestGradients:
         logits, caches = forward(net, x)
         assert caches[1][1].ravel().tolist() == [7.0]
         _, dlogits = softmax_xent(logits, np.array([0]))
-        dpool, _, _ = layer_backward(net, 1, caches[1], dlogits, need_dx=True)
+        # the layers take batch-minor gradients: (classes, batch) at the logits
+        dpool, _, _ = layer_backward(net, 1, caches[1], dlogits.T, need_dx=True)
         dx, _, _ = layer_backward(net, 0, caches[0], dpool, need_dx=True)
         # all four entries tie; the first in row-major order takes it all
         g = float(dpool.ravel()[0])
         assert g != 0.0
-        assert dx[0, 0].tolist() == [[g, 0.0], [0.0, 0.0]]
+        assert dx[0, :, :, 0].tolist() == [[g, 0.0], [0.0, 0.0]]
 
     def test_grad_shapes_match_params(self):
         net = build_network(TINY_DEFS, TINY_SHAPE, seed=4, dtype=np.float64)

@@ -1,4 +1,8 @@
-"""Lowering, im2col/col2im, and the layers' GEMMs against loop-nest oracles."""
+"""Lowering, im2col/col2im, and the layers' GEMMs against loop-nest oracles.
+
+Activations are batch-minor, ``(C, H, W, B)``, as inside the engine; a
+lowered matrix is ``(cols, positions * B)``.
+"""
 
 import numpy as np
 import pytest
@@ -69,8 +73,8 @@ def conv_net(g, filters, dtype=np.float32):
 def maxpool_loops(x, dy):
     """2x2/2 max pool and its gradient by loops; ties go to the first
     maximum in row-major window order."""
-    b, c, h, w = x.shape
-    y = np.zeros((b, c, h // 2, w // 2), dtype=x.dtype)
+    c, h, w, b = x.shape
+    y = np.zeros((c, h // 2, w // 2, b), dtype=x.dtype)
     dx = np.zeros_like(x)
     for n in range(b):
         for ch in range(c):
@@ -79,20 +83,25 @@ def maxpool_loops(x, dy):
                     window = [(2 * i + u, 2 * j + v) for u in (0, 1) for v in (0, 1)]
                     best = window[0]
                     for pos in window[1:]:
-                        if x[n, ch][pos] > x[n, ch][best]:
+                        if x[ch, :, :, n][pos] > x[ch, :, :, n][best]:
                             best = pos
-                    y[n, ch, i, j] = x[n, ch][best]
-                    dx[n, ch][best] = dy[n, ch, i, j]
+                    y[ch, i, j, n] = x[ch, :, :, n][best]
+                    dx[ch, :, :, n][best] = dy[ch, i, j, n]
     return y, dx
+
+
+def batch_minor(x):
+    """A (B, C, H, W) batch in the engine's (C, H, W, B) layout."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
 
 
 def im2col_window_oracle(x, g):
     """im2col from a strided sliding-window view of the padded batch."""
     p = g.pad
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xp, (g.kernel_h, g.kernel_w), axis=(2, 3))
-    win = win[:, :, :: g.stride, :: g.stride]             # (B, C, Ho, Wo, kh, kw)
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(len(x), g.cols, g.positions)
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    win = sliding_window_view(xp, (g.kernel_h, g.kernel_w), axis=(1, 2))
+    win = win[:, :: g.stride, :: g.stride]                # (C, Ho, Wo, B, kh, kw)
+    return win.transpose(0, 4, 5, 1, 2, 3).reshape(g.cols, g.positions * x.shape[3])
 
 
 def col2im_bincount_reference(cols, g):
@@ -104,12 +113,13 @@ def col2im_bincount_reference(cols, g):
             for j in range(g.out_w):
                 idx[col, i * g.out_w + j] = ((c * hp + i * g.stride + u) * wp
                                              + j * g.stride + v)
-    out = np.empty((len(cols), g.in_channels, hp, wp), dtype=cols.dtype)
-    for n in range(len(cols)):
-        flat = np.bincount(idx.ravel(), weights=cols[n].ravel(),
+    per_sample = cols.reshape(g.cols, g.positions, -1)   # (cols, positions, B)
+    out = np.empty((g.in_channels, hp, wp, per_sample.shape[2]), dtype=cols.dtype)
+    for n in range(per_sample.shape[2]):
+        flat = np.bincount(idx.ravel(), weights=per_sample[:, :, n].ravel(),
                            minlength=g.in_channels * hp * wp)
-        out[n] = flat.reshape(g.in_channels, hp, wp)
-    return out[:, :, g.pad : g.pad + g.in_h, g.pad : g.pad + g.in_w]
+        out[..., n] = flat.reshape(g.in_channels, hp, wp)
+    return out[:, g.pad : g.pad + g.in_h, g.pad : g.pad + g.in_w]
 
 
 def random_geometry(rng, span=6):
@@ -223,14 +233,14 @@ class TestIm2col:
     def test_identity_kernel_geometry(self):
         # 1x1 kernel: the patch matrix is the flattened image
         g = ConvGeometry(in_channels=2, in_h=3, in_w=3, kernel_h=1, kernel_w=1)
-        x = np.arange(18, dtype=np.float32).reshape(1, 2, 3, 3)
-        cols = im2col_batch(x, g)[0]
+        x = np.arange(18, dtype=np.float32).reshape(2, 3, 3, 1)
+        cols = im2col_batch(x, g)
         assert np.array_equal(cols, x.reshape(2, 9))
 
     def test_manual_3x3_patch(self):
         g = ConvGeometry(in_channels=1, in_h=3, in_w=3, kernel_h=2, kernel_w=2)
-        x = np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3)
-        cols = im2col_batch(x, g)[0]
+        x = np.arange(9, dtype=np.float32).reshape(1, 3, 3, 1)
+        cols = im2col_batch(x, g)
         # position 0 is the top-left window [[0,1],[3,4]]
         assert cols[:, 0].tolist() == [0, 1, 3, 4]
         assert cols[:, 3].tolist() == [4, 5, 7, 8]
@@ -238,8 +248,8 @@ class TestIm2col:
     def test_padding_zeros(self):
         g = ConvGeometry(in_channels=1, in_h=2, in_w=2, kernel_h=2,
                          kernel_w=2, pad=1)
-        x = np.ones((1, 1, 2, 2), dtype=np.float32)
-        cols = im2col_batch(x, g)[0]
+        x = np.ones((1, 2, 2, 1), dtype=np.float32)
+        cols = im2col_batch(x, g)
         assert cols.shape == (4, 9)
         # the first window covers only the padded corner and x[0,0]
         assert cols[:, 0].tolist() == [0, 0, 0, 1]
@@ -250,7 +260,7 @@ class TestIm2col:
         geoms = [random_geometry(rng) for _ in range(50)]
         assert any(g.stride == 2 for g in geoms) and any(g.pad for g in geoms)
         for g in geoms:
-            x = rng.standard_normal((batch, g.in_channels, g.in_h, g.in_w)).astype(np.float32)
+            x = rng.standard_normal((g.in_channels, g.in_h, g.in_w, batch)).astype(np.float32)
             got = im2col_batch(x, g)
             want = im2col_window_oracle(x, g)
             assert got.shape == want.shape
@@ -260,12 +270,12 @@ class TestIm2col:
         rng = np.random.default_rng(35)
         for g in mixed_geometries(rng):
             # a transposed view, which is not C-contiguous unless C*H*W is 1
-            x = rng.standard_normal((g.in_w, g.in_h, g.in_channels, 3)).T
+            x = rng.standard_normal((3, g.in_w, g.in_h, g.in_channels)).T
             assert x.flags.c_contiguous == (g.in_channels * g.in_h * g.in_w == 1)
             want = im2col_window_oracle(np.ascontiguousarray(x), g)
             assert np.array_equal(im2col_batch(x, g), want)
             keep = np.flatnonzero(rng.random(g.cols) < 0.5)
-            assert np.array_equal(im2col_batch(x, g, rows=keep), want[:, keep])
+            assert np.array_equal(im2col_batch(x, g, rows=keep), want[keep])
 
     def test_gemm_conv_matches_direct_50_geometries(self):
         rng = np.random.default_rng(7)
@@ -276,8 +286,8 @@ class TestIm2col:
             x = rng.standard_normal((2, g.in_channels, g.in_h, g.in_w)).astype(np.float32)
             w = net.weights[0] = rng.standard_normal(net.weights[0].shape).astype(np.float32)
             b = net.biases[0] = rng.standard_normal(f).astype(np.float32)
-            got, _ = apply_layer(net, 0, x)
-            want = conv2d_direct(x, w, b, g.stride, g.pad)
+            got, _ = apply_layer(net, 0, batch_minor(x))
+            want = batch_minor(conv2d_direct(x, w, b, g.stride, g.pad))
             denom = max(float(np.abs(want).max()), 1e-8)
             assert float(np.abs(got - want).max()) / denom <= 1e-6
 
@@ -285,15 +295,15 @@ class TestIm2col:
         rng = np.random.default_rng(11)
         g = ConvGeometry(in_channels=3, in_h=6, in_w=5, kernel_h=3,
                          kernel_w=2, stride=1, pad=1)
-        x = rng.standard_normal((4, 3, 6, 5)).astype(np.float32)
+        x = rng.standard_normal((3, 6, 5, 4)).astype(np.float32)
         full = im2col_batch(x, g)
         keep = np.array([0, 3, 7, 10, 17])
         sub = im2col_batch(x, g, rows=keep)
-        assert np.array_equal(sub, full[:, keep, :])
+        assert np.array_equal(sub, full[keep])
 
     def test_subset_rejects_unsorted(self):
         g = ConvGeometry(in_channels=1, in_h=4, in_w=4, kernel_h=2, kernel_w=2)
-        x = np.zeros((1, 1, 4, 4), dtype=np.float32)
+        x = np.zeros((1, 4, 4, 1), dtype=np.float32)
         for _ in range(2):  # a rejected row set is never cached
             with pytest.raises(ValueError):
                 im2col_batch(x, g, rows=np.array([2, 1]))
@@ -309,16 +319,16 @@ class TestIm2col:
                           stride=2, pad=1)
         keeps = (np.array([0, 2, 5]), np.array([1, 2, 3, 7]), [0, 2, 5])
         for g in (g1, g2, g1):
-            x = rng.standard_normal((3, 2, 5, 5)).astype(np.float32)
+            x = rng.standard_normal((2, 5, 5, 3)).astype(np.float32)
             full = im2col_batch(x, g)
             for keep in keeps:
                 assert np.array_equal(im2col_batch(x, g, rows=keep),
-                                      full[:, np.asarray(keep), :])
+                                      full[np.asarray(keep)])
 
     def test_shape_mismatch(self):
         g = ConvGeometry(in_channels=2, in_h=4, in_w=4, kernel_h=2, kernel_w=2)
         with pytest.raises(GeometryError):
-            im2col_batch(np.zeros((1, 1, 4, 4), dtype=np.float32), g)
+            im2col_batch(np.zeros((1, 4, 4, 1), dtype=np.float32), g)
 
 
 class TestIndexTable:
@@ -352,9 +362,10 @@ class TestIndexTable:
     def test_all_ones_lower_to_zero_exactly_in_the_padding(self):
         rng = np.random.default_rng(38)
         for g in mixed_geometries(rng):
-            ones = np.ones((2, g.in_channels, g.in_h, g.in_w), dtype=np.float32)
+            ones = np.ones((g.in_channels, g.in_h, g.in_w, 2), dtype=np.float32)
             cols = im2col_batch(ones, g)
-            assert np.array_equal(cols == 0, np.broadcast_to(~in_image(g), cols.shape))
+            # column p * 2 + n is sample n at position p
+            assert np.array_equal(cols == 0, np.repeat(~in_image(g), 2, axis=1))
 
 
 class TestCol2im:
@@ -364,16 +375,16 @@ class TestCol2im:
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = random_geometry(rng)
-            x = rng.standard_normal((2, g.in_channels, g.in_h, g.in_w))
-            c = rng.standard_normal((2, g.cols, g.positions))
+            x = rng.standard_normal((g.in_channels, g.in_h, g.in_w, 2))
+            c = rng.standard_normal((g.cols, g.positions * 2))
             lhs = float(np.sum(im2col_batch(x, g) * c))
             rhs = float(np.sum(x * col2im_batch(c, g)))
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
     def test_overlap_accumulates(self):
         g = ConvGeometry(in_channels=1, in_h=3, in_w=3, kernel_h=2, kernel_w=2)
-        ones = np.ones((1, g.cols, g.positions))
-        back = col2im_batch(ones, g)[0]
+        ones = np.ones((g.cols, g.positions))
+        back = col2im_batch(ones, g)[..., 0]
         # the center pixel is covered by all four windows
         assert back[0, 1, 1] == 4.0
         assert back[0, 0, 0] == 1.0
@@ -386,8 +397,8 @@ class TestCol2im:
                           kernel_w=2, stride=2, pad=1)
         g2 = ConvGeometry(in_channels=3, in_h=4, in_w=4, kernel_h=2, kernel_w=2)
         for g in (g1, g2, g1, g2, g1):
-            x = rng.standard_normal((3, g.in_channels, g.in_h, g.in_w))
-            c = rng.standard_normal((3, g.cols, g.positions))
+            x = rng.standard_normal((g.in_channels, g.in_h, g.in_w, 3))
+            c = rng.standard_normal((g.cols, g.positions * 3))
             back = col2im_batch(c, g)
             assert back.shape == x.shape
             lhs = float(np.sum(im2col_batch(x, g) * c))
@@ -398,10 +409,11 @@ class TestCol2im:
         rng = np.random.default_rng(9)
         g = ConvGeometry(in_channels=2, in_h=5, in_w=4, kernel_h=3,
                          kernel_w=3, stride=2, pad=1)
-        cols = rng.standard_normal((3, g.cols, g.positions))
+        cols = rng.standard_normal((g.cols, g.positions * 3))
         batch = col2im_batch(cols, g)
         for i in range(3):
-            assert np.array_equal(batch[i], col2im_batch(cols[i : i + 1], g)[0])
+            single = np.ascontiguousarray(cols.reshape(g.cols, g.positions, 3)[:, :, i])
+            assert np.array_equal(batch[..., i], col2im_batch(single, g)[..., 0])
 
     @pytest.mark.parametrize("batch", [1, 33])
     def test_matches_bincount_reference_50_geometries(self, batch, monkeypatch):
@@ -412,39 +424,45 @@ class TestCol2im:
         assert any(gathered) and any(g.pad and not s for g, s in zip(geoms, gathered))
         for g in geoms:
             for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
-                cols = rng.standard_normal((batch, g.cols, g.positions)).astype(dtype)
+                cols = rng.standard_normal((g.cols, g.positions * batch)).astype(dtype)
                 got, sizes = col2im_counting_entries(cols, g, monkeypatch)
-                assert sum(sizes) == batch * summed_entries(g)
+                assert sizes == [batch * summed_entries(g)]
                 want = np.ascontiguousarray(col2im_bincount_reference(cols, g))
                 assert got.shape == want.shape and got.dtype == dtype
                 assert np.array_equal(got.view(bits), want.view(bits))
 
-    @pytest.mark.parametrize("geom, batch, chunks", [
-        # toy layer 3 (288 entries a sample): the whole batch is one chunk
-        (ConvGeometry(in_channels=8, in_h=4, in_w=4, kernel_h=2, kernel_w=2), 33, 1),
-        # 2,187 entries a sample, 14% in the padding, so all are summed;
-        # 7 samples a chunk: 4 chunks, the last of 1
+    def test_kept_rows_scatter_as_zeroed_rows(self):
+        # a compacted conv's scatter: the rows left out add exactly nothing
+        rng = np.random.default_rng(53)
+        for g in mixed_geometries(rng):
+            keep = np.flatnonzero(rng.random(g.cols) < 0.5)
+            full = np.zeros((g.cols, g.positions * 3), dtype=np.float32)
+            full[keep] = rng.standard_normal((len(keep), full.shape[1]))
+            got = col2im_batch(full[keep], g, rows=keep)
+            assert got.tobytes() == col2im_batch(full, g).tobytes()
+
+    @pytest.mark.parametrize("geom, batch", [
+        # toy layer 3: 288 entries a sample, none in the padding
+        (ConvGeometry(in_channels=8, in_h=4, in_w=4, kernel_h=2, kernel_w=2), 33),
+        # 2,187 entries a sample, 14% in the padding, so all are summed
         (ConvGeometry(in_channels=3, in_h=9, in_w=9, kernel_h=3, kernel_w=3,
-                      pad=1), 22, 4),
-        # 19,200 entries a sample, more than a chunk holds: one sample a chunk
+                      pad=1), 22),
+        # 19,200 entries a sample
         (ConvGeometry(in_channels=3, in_h=16, in_w=16, kernel_h=5, kernel_w=5,
-                      pad=2), 3, 3),
+                      pad=2), 3),
         # convnet layer 3: 51% of 12,800 entries in the padding, so the 6,272
-        # in-image ones are summed; 2 samples a chunk: 3 chunks, the last of 1
+        # in-image ones are summed
         (ConvGeometry(in_channels=32, in_h=4, in_w=4, kernel_h=5, kernel_w=5,
-                      pad=2), 5, 3),
+                      pad=2), 5),
     ])
-    def test_chunked_scatter_matches_per_sample_bincount(self, geom, batch, chunks,
-                                                         monkeypatch):
+    def test_one_scatter_matches_per_sample_bincount(self, geom, batch, monkeypatch):
         summed = summed_entries(geom)
-        per = max(tensor._CHUNK_ENTRIES // summed, 1)
-        assert -(-batch // per) == chunks
         rng = np.random.default_rng(summed)
         for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
-            cols = rng.standard_normal((batch, geom.cols, geom.positions)).astype(dtype)
+            cols = rng.standard_normal((geom.cols, geom.positions * batch)).astype(dtype)
             got, sizes = col2im_counting_entries(cols, geom, monkeypatch)
-            # the scatter sums exactly these entries, in these chunks
-            assert len(sizes) == chunks and sum(sizes) == batch * summed
+            # one bincount sums exactly these entries of the whole batch
+            assert sizes == [batch * summed]
             want = col2im_bincount_reference(cols, geom)
             assert got.shape == want.shape and got.dtype == dtype
             assert np.array_equal(got.view(bits), np.ascontiguousarray(want).view(bits))
@@ -460,12 +478,12 @@ class TestConvWeightGradient:
                 g = random_geometry(rng)
                 filters = int(rng.integers(1, 5))
                 net = conv_net(g, filters, dtype=dtype)
-                x = rng.standard_normal((4, g.in_channels, g.in_h, g.in_w)).astype(dtype)
+                x = rng.standard_normal((g.in_channels, g.in_h, g.in_w, 4)).astype(dtype)
                 y, cache = apply_layer(net, 0, x)
                 dy = rng.standard_normal(y.shape).astype(dtype)
                 _, dw, _ = layer_backward(net, 0, cache, dy, need_dx=False)
-                want = np.einsum("bnp,bkp->nk",
-                                 dy.reshape(4, filters, g.positions).astype(np.float64),
+                want = np.einsum("nq,kq->nk",
+                                 dy.reshape(filters, -1).astype(np.float64),
                                  im2col_batch(x.astype(np.float64), g))
                 got = dw.reshape(filters, g.cols)
                 assert dw.dtype == dtype
@@ -477,7 +495,7 @@ class TestConvWeightGradient:
 class TestMaxPool:
     def test_matches_loop_oracle_with_ties(self):
         rng = np.random.default_rng(4)
-        for shape in ((2, 3, 4, 6), (1, 2, 2, 2), (3, 1, 8, 4)):
+        for shape in ((3, 4, 6, 2), (2, 2, 2, 1), (1, 8, 4, 3)):
             # small integers force ties inside most windows
             x = rng.integers(-2, 3, size=shape).astype(np.float32)
             y = maxpool2x2(x)
@@ -498,15 +516,15 @@ class TestGemm:
         net = dense_net(6, 4)
         a = net.weights[0] = rng.standard_normal((4, 6)).astype(np.float32)
         net.biases[0][:] = 0
-        x = rng.standard_normal((5, 6, 1, 1)).astype(np.float32)
+        x = rng.standard_normal((6, 1, 1, 5)).astype(np.float32)
         got, _ = apply_layer(net, 0, x)
-        want = gemm_loops(a, x.reshape(5, 6).T).T
+        want = gemm_loops(a, x.reshape(6, 5))
         assert np.abs(got - want).max() <= 1e-5
 
     def test_rejects_mismatch(self):
         net = dense_net(6, 4)
         with pytest.raises(ShapeError):
-            apply_layer(net, 0, np.zeros((2, 5, 1, 1), dtype=np.float32))
+            apply_layer(net, 0, np.zeros((5, 1, 1, 2), dtype=np.float32))
 
     def test_compact_equals_masked(self):
         # the compacted conv: kept filters times the kept im2col rows
@@ -515,13 +533,13 @@ class TestGemm:
         w = rng.standard_normal((5, g.cols)).astype(np.float32)
         keep_r = np.array([0, 2, 4])
         keep_c = np.array([1, 2, 5, 7])
-        x = rng.standard_normal((3, 2, 4, 3)).astype(np.float32)
-        got = np.matmul(w[np.ix_(keep_r, keep_c)], im2col_batch(x, g, rows=keep_c))
+        x = rng.standard_normal((2, 4, 3, 3)).astype(np.float32)
+        got = w[np.ix_(keep_r, keep_c)] @ im2col_batch(x, g, rows=keep_c)
         wm = np.zeros_like(w)
         wm[:, keep_c] = w[:, keep_c]
-        want = np.matmul(wm, im2col_batch(x, g))[:, keep_r]
+        want = (wm @ im2col_batch(x, g))[keep_r]
         assert np.allclose(got, want, atol=1e-6)
-        assert got.shape == (3, 3, g.positions)
+        assert got.shape == (3, g.positions * 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,11 +548,11 @@ def test_compacted_conv_any_keep_sets(data):
     rng = np.random.default_rng(17)
     g = ConvGeometry(in_channels=3, in_h=3, in_w=4, kernel_h=2, kernel_w=2)
     w = rng.standard_normal((6, g.cols)).astype(np.float32)
-    x = rng.standard_normal((2, 3, 3, 4)).astype(np.float32)
+    x = rng.standard_normal((3, 3, 4, 2)).astype(np.float32)
     rows = sorted(data.draw(st.sets(st.integers(0, 5), min_size=1, max_size=6)))
     cols = sorted(data.draw(st.sets(st.integers(0, 11), min_size=1, max_size=12)))
     rows = np.array(rows)
     cols = np.array(cols)
-    got = np.matmul(w[np.ix_(rows, cols)], im2col_batch(x, g, rows=cols))
-    want = np.matmul(w[np.ix_(rows, cols)], im2col_batch(x, g)[:, cols])
+    got = w[np.ix_(rows, cols)] @ im2col_batch(x, g, rows=cols)
+    want = w[np.ix_(rows, cols)] @ im2col_batch(x, g)[cols]
     assert np.array_equal(got, want)
