@@ -151,12 +151,7 @@ class NetworkState:
         return [i for i, l in enumerate(self.layers) if l.kind == "conv"]
 
     def n_classes(self) -> int:
-        for l in reversed(self.layers):
-            if l.kind == "fc":
-                return l.out_features
-            if l.kind == "conv":
-                return l.filters
-        raise ShapeError("network has no parametric layer")
+        return next(l for l in reversed(self.layers) if l.kind == "fc").out_features
 
 
 def _layer_keys(pos: int, d) -> tuple[str, dict]:
@@ -190,7 +185,8 @@ def resolve_layers(
     The one schema check of a layer list from a preset, a config file or a
     checkpoint: each def is a dict of a "kind" and that kind's keys in
     :data:`LAYER_KEYS`. The activation shape is threaded through so every
-    geometry is validated where it will actually run.
+    geometry is validated where it will actually run. The last parametric
+    layer must be an fc: its outputs are the class logits.
     """
     shape: tuple | None = tuple(int(d) for d in input_shape)
     if len(shape) != 3 or min(shape) < 1:
@@ -230,8 +226,9 @@ def resolve_layers(
             spec = LayerSpec(kind="fc", in_features=feat, out_features=keys["out_features"])
             shape = spec.out_features
         layers.append(spec)
-    if not any(l.parametric for l in layers):
-        raise ValueError("network has no parametric layer")
+    params = [l.kind for l in layers if l.parametric]
+    if not params or params[-1] != "fc":
+        raise ValueError("the last parametric layer must be an fc")
     return layers
 
 

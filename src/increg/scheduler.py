@@ -302,6 +302,8 @@ def materialize_reg(net: NetworkState, layer_groups: list[LayerGroups]):
 
 _META_KEYS = ("layer", "kind", "target", "ratio", "speed", "epsilon",
               "update_interval", "lambda", "rank_sum", "rank_count", "pruned")
+_META_NUMBERS = {"ratio": (int, float), "speed": (int, float), "epsilon": (int, float),
+                 "update_interval": (int,), "layer": (int,)}
 
 
 def groups_to_meta(layer_groups: list[LayerGroups]) -> list[dict]:
@@ -328,9 +330,11 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
     """Rebuild scheduler state saved by :func:`groups_to_meta`.
 
     Raises ScheduleError for a state that is not a list, a missing key, a
-    per-group list whose length is not the layer's group count, unequal rank
-    counts, pruned flags other than 0 and 1, a pruned group whose weights
-    are not all zero, or unreadable values.
+    schedule value that is not a plain number (an int for
+    ``update_interval`` and ``layer``), a per-group list whose length is
+    not the layer's group count, unequal rank counts, pruned flags other
+    than 0 and 1, a pruned group whose weights are not all zero, or
+    unreadable values.
     """
     if not isinstance(meta, list):
         raise ScheduleError(f"scheduler state must be a list of layers, got {meta!r}")
@@ -341,6 +345,11 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
         missing = [k for k in _META_KEYS if k not in m]
         if missing:
             raise ScheduleError(f"scheduler state lacks {', '.join(missing)}")
+        for key, kinds in _META_NUMBERS.items():
+            # plain numbers only, as load_checkpoint checks seed: a bool is neither
+            if type(m[key]) not in kinds:
+                what = "a number" if float in kinds else "an integer"
+                raise ScheduleError(f"scheduler state {key!r} must be {what}, got {m[key]!r}")
         sch = PruneSchedule(
             ratio=m["ratio"], speed=m["speed"], epsilon=m["epsilon"],
             update_interval=m["update_interval"], kind=m["kind"], layer=m["layer"],

@@ -13,13 +13,14 @@ Conventions used throughout the package:
   order, so lowering is a plain ``reshape`` and round-trips bit-for-bit.
 
 Every lowering is a gather or a scatter through one cached index table per
-geometry, whose entry ``(col, position)`` is that lowered entry's slot: the
-image's pixels in image order, then the padding's. im2col is one row gather,
-``np.take(..., axis=0)``, from the ``(slots, batch)`` array ``[image |
-zeros]`` through the table, or through its kept rows for a compacted conv,
-so each entry copies ``batch`` contiguous floats; col2im is the matching
-scatter-add, one float64 ``bincount`` at ``slot * batch + sample``, whose
-image prefix is the result.
+geometry, whose entry ``(col, position)`` is that lowered entry's slot: its
+pixel's offset in the image, or the one padding slot ``C*H*W``. im2col is one
+row gather, ``np.take(..., axis=0)``, from the image plus one zero row,
+``(C*H*W + 1, batch)``, through the table, or through its kept rows for a
+compacted conv, so each entry copies ``batch`` contiguous floats. col2im is
+the matching scatter-add: it gathers out the entries that read the padding
+and sums the rest in one float64 ``bincount`` at ``slot * batch + sample``,
+whose bins are the image.
 """
 
 from __future__ import annotations
@@ -99,21 +100,19 @@ def im2col_batch(
     at position p, so the whole batch is one matrix. ``rows``, if given, is
     a strictly increasing array of lowered-row indices to emit (a compacted
     conv builds only the rows its kept columns read), and the output is
-    ``(len(rows), positions * batch)``.
+    ``(len(rows), positions * batch)``. Padding entries read a zero row
+    appended to the image at slot ``C*H*W``.
     """
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[:3] != (geom.in_channels, geom.in_h, geom.in_w):
         raise GeometryError(f"batch shape {x.shape} does not match geometry {geom}")
-    idx = _row_indices(geom, _row_key(rows))
-    b, image = x.shape[3], geom.in_channels * geom.in_h * geom.in_w
-    if geom.pad:
-        src = np.empty((_slots(geom), b), dtype=x.dtype)
-        src[:image] = x.reshape(image, b)
-        src[image:] = 0
-    else:
-        src = x.reshape(image, b)
+    table, kept, _ = _lowering(geom, _row_key(rows))
+    b = x.shape[3]
+    src = x.reshape(geom.in_channels * geom.in_h * geom.in_w, b)
+    if kept is not None:
+        src = np.concatenate((src, np.zeros((1, b), dtype=src.dtype)))
     # each table entry copies one contiguous row of ``batch`` floats
-    return np.take(src, idx, axis=0).reshape(len(idx), geom.positions * b)
+    return np.take(src, table, axis=0).reshape(len(table), geom.positions * b)
 
 
 def _row_key(rows) -> bytes | None:
@@ -121,25 +120,18 @@ def _row_key(rows) -> bytes | None:
     return None if rows is None else np.asarray(rows, dtype=np.intp).tobytes()
 
 
-def _slots(geom: ConvGeometry) -> int:
-    """Pixels of the padded image: C * (H + 2 pad) * (W + 2 pad)."""
-    return geom.in_channels * (geom.in_h + 2 * geom.pad) * (geom.in_w + 2 * geom.pad)
-
-
 @functools.lru_cache(maxsize=64)
 def _scatter_indices(geom: ConvGeometry) -> np.ndarray:
     """Slot of every (col, position) entry: ``(c*H + r)*W + q`` for image
-    pixel ``(c, r, q)``, then the padding's pixels in padded-image order.
+    pixel ``(c, r, q)``, and the one zero slot ``C*H*W`` for every padding
+    entry.
 
     Shape ``(cols, positions)`` and read-only: one array per geometry is
     cached and shared by im2col's gather and col2im's scatter.
     """
-    p, h, w = geom.pad, geom.in_h, geom.in_w
-    inside = np.zeros((geom.in_channels, h + 2 * p, w + 2 * p), dtype=bool)
-    inside[:, p : p + h, p : p + w] = True
-    slot = np.empty(inside.shape, dtype=np.intp)     # of each padded pixel
-    slot[inside] = np.arange(inside.sum())
-    slot[~inside] = np.arange(inside.sum(), inside.size)
+    c, p, h, w = geom.in_channels, geom.pad, geom.in_h, geom.in_w
+    slot = np.full((c, h + 2 * p, w + 2 * p), c * h * w, dtype=np.intp)
+    slot[:, p : p + h, p : p + w] = np.arange(c * h * w).reshape(c, h, w)
     cm = col_map(geom)
     oh, ow = np.unravel_index(np.arange(geom.positions), (geom.out_h, geom.out_w))
     rows_h = oh[None, :] * geom.stride + cm[:, 1][:, None]   # (cols, positions)
@@ -150,53 +142,38 @@ def _scatter_indices(geom: ConvGeometry) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _row_indices(geom: ConvGeometry, rows: bytes | None) -> np.ndarray:
-    """The index table's rows at ``rows`` (intp bytes), checked and cached;
-    the whole table when ``rows`` is None.
-
-    A compacted conv lowers the same kept rows on every call, so the set is
-    validated and sliced once per (geometry, row set).
+def _lowering(geom: ConvGeometry, rows: bytes | None
+              ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """``(table, kept, scatter)``, checked and cached once per (geometry,
+    row set): the index table's rows at ``rows`` (intp bytes; all when None),
+    the raveled positions of its in-image entries (None if no entry reads
+    the padding), and the image slots those entries sum into.
     """
-    if rows is None:
-        return _scatter_indices(geom)
-    keep = np.frombuffer(rows, dtype=np.intp)
-    if keep.size and (keep.min() < 0 or keep.max() >= geom.cols):
-        raise IndexError(f"rows contains indices outside [0, {geom.cols})")
-    # strictly increasing keeps the x-row <-> kept-column alignment unambiguous
-    if keep.size > 1 and not (np.diff(keep) > 0).all():
-        raise ValueError("rows must be strictly increasing")
-    idx = _scatter_indices(geom)[keep]
-    idx.flags.writeable = False
-    return idx
-
-
-@functools.lru_cache(maxsize=64)
-def _scatter_plan(geom: ConvGeometry, rows: bytes | None
-                  ) -> tuple[np.ndarray | None, np.ndarray, int]:
-    """``(kept, table, size)``: one sample's scatter of the rows at ``rows``.
-    If at least a quarter of the entries land in the padding, col2im first
-    gathers the in-image entries at raveled positions ``kept``, and sums
-    them into the ``size`` image slots; else ``kept`` is None and all
-    entries sum into every slot. On lightly padded maps the gather costs
-    more than the padding it skips.
-    """
-    table = _row_indices(geom, rows).ravel()
-    image = geom.in_channels * geom.in_h * geom.in_w
-    inside = table < image
-    if 4 * (table.size - np.count_nonzero(inside)) < table.size:
-        return None, table, _slots(geom)
-    kept = np.flatnonzero(inside)
-    table = table[kept]
-    kept.flags.writeable = table.flags.writeable = False
-    return kept, table, image
+    table = _scatter_indices(geom)
+    if rows is not None:
+        keep = np.frombuffer(rows, dtype=np.intp)
+        if keep.size and (keep.min() < 0 or keep.max() >= geom.cols):
+            raise IndexError(f"rows contains indices outside [0, {geom.cols})")
+        # strictly increasing keeps the x-row <-> kept-column alignment unambiguous
+        if keep.size > 1 and not (np.diff(keep) > 0).all():
+            raise ValueError("rows must be strictly increasing")
+        table = table[keep]
+    scatter = table.ravel()
+    inside = scatter < geom.in_channels * geom.in_h * geom.in_w
+    kept = None if inside.all() else np.flatnonzero(inside)
+    scatter = scatter if kept is None else scatter[kept]
+    for a in (table, kept, scatter):
+        if a is not None:
+            a.flags.writeable = False
+    return table, kept, scatter
 
 
 @functools.lru_cache(maxsize=64)
 def _batch_indices(geom: ConvGeometry, rows: bytes | None, batch: int) -> np.ndarray:
     """The plan's scatter for ``batch`` samples, raveled: entry e of sample
-    n goes to bin ``table[e] * batch + n``."""
-    table = _scatter_plan(geom, rows)[1]
-    idx = (table[:, None] * batch + np.arange(batch)).ravel()
+    n goes to bin ``scatter[e] * batch + n``."""
+    scatter = _lowering(geom, rows)[2]
+    idx = (scatter[:, None] * batch + np.arange(batch)).ravel()
     idx.flags.writeable = False
     return idx
 
@@ -206,29 +183,27 @@ def col2im_batch(cols: np.ndarray, geom: ConvGeometry,
     """Batched adjoint lowering: (cols, positions * batch) -> (C, H, W, batch).
 
     ``rows`` names the lowered rows that ``cols`` holds, as for
-    :func:`im2col_batch`; the rows left out add nothing. Every entry sums in
-    one float64 ``bincount`` at ``slot * batch + sample``, so each pixel of
-    each sample sums its entries in the table's ``(col, position)`` order, as
-    a per-sample bincount would, whether or not the padding's entries are
-    gathered out first; each sum's image prefix is the output.
+    :func:`im2col_batch`; the rows left out add nothing. The padding's
+    entries, if any, are gathered out first, and the image's entries sum in
+    one float64 ``bincount`` at ``slot * batch + sample`` whose bins are
+    exactly the output. Each pixel of each sample sums its entries in the
+    table's ``(col, position)`` order, as a per-sample bincount would.
     """
     key = _row_key(rows)
-    kept, _, size = _scatter_plan(geom, key)
+    table, kept, _ = _lowering(geom, key)
     cols = np.asarray(cols)
-    k = len(_row_indices(geom, key))
-    if cols.ndim != 2 or cols.shape[0] != k or cols.shape[1] % geom.positions:
-        raise ShapeError(f"lowered shape {cols.shape} does not match the {k} rows "
-                         f"of geometry {geom}")
+    if cols.ndim != 2 or cols.shape[0] != len(table) or cols.shape[1] % geom.positions:
+        raise ShapeError(f"lowered shape {cols.shape} does not match the {len(table)} "
+                         f"rows of geometry {geom}")
     b = cols.shape[1] // geom.positions
     flat = cols.reshape(-1, b)                       # one row per table entry
     if kept is not None:
         flat = np.take(flat, kept, axis=0)
+    image = geom.in_channels * geom.in_h * geom.in_w
     # bincount gives a fast deterministic scatter-add (stride overlaps sum)
     summed = np.bincount(_batch_indices(geom, key, b), weights=flat.ravel(),
-                         minlength=size * b)
-    image = geom.in_channels * geom.in_h * geom.in_w
-    return summed[: image * b].astype(cols.dtype).reshape(
-        geom.in_channels, geom.in_h, geom.in_w, b)
+                         minlength=image * b)
+    return summed.astype(cols.dtype).reshape(geom.in_channels, geom.in_h, geom.in_w, b)
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:

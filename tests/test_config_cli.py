@@ -494,6 +494,22 @@ class TestCli:
         assert "error: architecture: layer 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("layers", [
+        [{"kind": "conv", "filters": 2, "kernel": 2}, {"kind": "relu"},
+         {"kind": "softmax-xent"}],
+        [{"kind": "conv", "filters": 2, "kernel": 2}, {"kind": "softmax-xent"}],
+    ], ids=["conv-relu-softmax", "conv-softmax"])
+    def test_net_not_ending_in_fc_is_exit_2(self, tmp_path, capsys, layers):
+        # the loss would read filters * H * W outputs of the conv as logits
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml.safe_dump({"dataset": {"classes": 2},
+                                     "architecture": {"layers": layers}}))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "the last parametric layer must be an fc" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, says", [
         (lambda m: m["layers"][0].__setitem__("kind", "bogus"), "unknown kind 'bogus'"),
         (lambda m: m.pop("seed"), "lacks 'seed'"),
@@ -512,9 +528,30 @@ class TestCli:
          "input_shape must be three positive integers, got [9.9, 1, 1]"),
         (lambda m: m.__setitem__("seed", True), "seed must be an integer, got True"),
         (lambda m: m.__setitem__("iteration", 3.7), "iteration must be an integer, got 3.7"),
+        # conv, relu, conv, relu, then no fc before the loss
+        (lambda m: m["layers"].pop(4), "the last parametric layer must be an fc"),
+        (lambda m: m["scheduler"][0].__setitem__("speed", "0.05"),
+         "scheduler state 'speed' must be a number, got '0.05'"),
+        (lambda m: m["scheduler"][0].__setitem__("speed", [0.05]),
+         "scheduler state 'speed' must be a number, got [0.05]"),
+        (lambda m: m["scheduler"][0].__setitem__("speed", True),
+         "scheduler state 'speed' must be a number, got True"),
+        (lambda m: m["scheduler"][0].__setitem__("ratio", "0.5"),
+         "scheduler state 'ratio' must be a number, got '0.5'"),
+        (lambda m: m["scheduler"][0].__setitem__("epsilon", None),
+         "scheduler state 'epsilon' must be a number, got None"),
+        (lambda m: m["scheduler"][0].__setitem__("update_interval", "10"),
+         "scheduler state 'update_interval' must be an integer, got '10'"),
+        (lambda m: m["scheduler"][0].__setitem__("update_interval", 10.0),
+         "scheduler state 'update_interval' must be an integer, got 10.0"),
+        (lambda m: m["scheduler"][1].__setitem__("layer", True),
+         "scheduler state 'layer' must be an integer, got True"),
     ], ids=["unknown-kind", "no-seed", "scheduler-not-a-list", "meta-not-a-mapping",
             "flag-not-0-or-1", "flagged-group-not-zero", "unknown-layer-key",
-            "float-filters", "float-input-shape", "bool-seed", "float-iteration"])
+            "float-filters", "float-input-shape", "bool-seed", "float-iteration",
+            "no-final-fc", "string-speed", "list-speed", "bool-speed", "string-ratio",
+            "null-epsilon", "string-update-interval", "float-update-interval",
+            "bool-layer"])
     def test_bad_checkpoint_metadata_is_exit_2(self, pipeline_cfg, capsys, edit, says):
         cfg_path, out = pipeline_cfg
         cfg = parse_config(FAST_PIPELINE)

@@ -366,6 +366,16 @@ class TestResolveLayers:
             resolve_layers([{"kind": "softmax-xent"},
                             {"kind": "fc", "out_features": 2}], (1, 2, 2))
 
+    @pytest.mark.parametrize("defs", [
+        [{"kind": "conv", "filters": 2, "kernel": 2}, {"kind": "relu"},
+         {"kind": "softmax-xent"}],
+        [{"kind": "conv", "filters": 2, "kernel": 2}, {"kind": "softmax-xent"}],
+        [{"kind": "relu"}, {"kind": "softmax-xent"}],
+    ], ids=["conv-relu", "conv", "no-parametric-layer"])
+    def test_rejects_a_net_not_ending_in_an_fc(self, defs):
+        with pytest.raises(ValueError, match="the last parametric layer must be an fc"):
+            resolve_layers(defs, (1, 8, 8))
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             resolve_layers([{"kind": "batchnorm"}], (1, 2, 2))

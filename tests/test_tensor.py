@@ -64,9 +64,11 @@ def gemm_loops(a, b):
 
 
 def conv_net(g, filters, dtype=np.float32):
-    """One conv layer over geometry g, for running the production forward."""
+    """A conv layer over geometry g, for running the production forward, and
+    the fc that a net must end in."""
     defs = [{"kind": "conv", "filters": filters, "kernel": [g.kernel_h, g.kernel_w],
-             "stride": g.stride, "pad": g.pad}, {"kind": "softmax-xent"}]
+             "stride": g.stride, "pad": g.pad}, {"kind": "fc", "out_features": 1},
+            {"kind": "softmax-xent"}]
     return build_network(defs, (g.in_channels, g.in_h, g.in_w), dtype=dtype)
 
 
@@ -160,11 +162,9 @@ def in_image(g):
 
 
 def summed_entries(g):
-    """Entries a sample's col2im sums: only the in-image ones when at least a
-    quarter of the entries land in the padding, else all of them."""
-    entries = g.cols * g.positions
-    inside = int(in_image(g).sum())
-    return inside if 4 * (entries - inside) >= entries else entries
+    """Entries a sample's col2im sums: the in-image ones, since it gathers
+    them out whenever any entry reads the padding."""
+    return int(in_image(g).sum())
 
 
 def col2im_counting_entries(cols, g, monkeypatch):
@@ -177,8 +177,7 @@ def col2im_counting_entries(cols, g, monkeypatch):
 
 
 def mixed_geometries(rng):
-    """50 random geometries, ten of them on larger, lightly padded images, so
-    that col2im's quarter rule falls either way on padded geometries."""
+    """50 random geometries, ten of them on larger, lightly padded images."""
     return ([random_geometry(rng) for _ in range(40)]
             + [random_geometry(rng, span=14) for _ in range(10)])
 
@@ -344,20 +343,24 @@ class TestIndexTable:
             assert np.array_equal(table < image, inside)
             assert np.array_equal(table[inside], ((c * g.in_h + r) * g.in_w + q)[inside])
 
-    def test_slots_permute_the_padded_image(self):
-        # one slot per padded pixel and one padded pixel per slot
+    def test_image_slots_one_to_one_and_padding_reads_one_slot(self):
+        # one slot per image pixel and one image pixel per slot; every
+        # padding entry reads the one zero slot C*H*W
         rng = np.random.default_rng(37)
         for g in mixed_geometries(rng):
             hp, wp = g.in_h + 2 * g.pad, g.in_w + 2 * g.pad
             c, r, q = window_pixels(g)
-            padded = ((c * hp + r + g.pad) * wp + q + g.pad).ravel()
-            table = tensor._scatter_indices(g).ravel()
-            assert table.min() >= 0 and table.max() < g.in_channels * hp * wp
+            inside = in_image(g)
+            padded = ((c * hp + r + g.pad) * wp + q + g.pad)[inside]
+            table = tensor._scatter_indices(g)
+            image = g.in_channels * g.in_h * g.in_w
+            assert (table[~inside] == image).all()
+            assert table[inside].min(initial=0) >= 0
             slot_of = np.full(g.in_channels * hp * wp, -1)
-            slot_of[padded] = table
-            assert np.array_equal(slot_of[padded], table)   # a function of the pixel
+            slot_of[padded] = table[inside]
+            assert np.array_equal(slot_of[padded], table[inside])  # a function of the pixel
             seen = slot_of[slot_of >= 0]
-            assert len(np.unique(seen)) == len(seen)         # and one-to-one
+            assert len(np.unique(seen)) == len(seen)               # and one-to-one
 
     def test_all_ones_lower_to_zero_exactly_in_the_padding(self):
         rng = np.random.default_rng(38)
@@ -419,9 +422,9 @@ class TestCol2im:
     def test_matches_bincount_reference_50_geometries(self, batch, monkeypatch):
         rng = np.random.default_rng(51 + batch)
         geoms = mixed_geometries(rng)
-        gathered = [summed_entries(g) < g.cols * g.positions for g in geoms]
-        # padded geometries on both sides of the quarter rule
-        assert any(gathered) and any(g.pad and not s for g, s in zip(geoms, gathered))
+        # geometries that read the padding, whose entries col2im gathers
+        # out first, and geometries that do not
+        assert {summed_entries(g) < g.cols * g.positions for g in geoms} == {True, False}
         for g in geoms:
             for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
                 cols = rng.standard_normal((g.cols, g.positions * batch)).astype(dtype)
@@ -444,7 +447,8 @@ class TestCol2im:
     @pytest.mark.parametrize("geom, batch", [
         # toy layer 3: 288 entries a sample, none in the padding
         (ConvGeometry(in_channels=8, in_h=4, in_w=4, kernel_h=2, kernel_w=2), 33),
-        # 2,187 entries a sample, 14% in the padding, so all are summed
+        # 2,187 entries a sample, 14% in the padding, so the in-image ones
+        # are summed
         (ConvGeometry(in_channels=3, in_h=9, in_w=9, kernel_h=3, kernel_w=3,
                       pad=1), 22),
         # 19,200 entries a sample
