@@ -138,6 +138,7 @@ def cmd_prune(args) -> int:
     for lay in rep.summary["layers"]:
         print(f"layer {lay['layer']}: pruned {lay['pruned']}/{lay['n_groups']} "
               f"{lay['kind']} groups (target {lay['target']})")
+    print(f"compacted steps: {rep.summary['compacted_steps']} of {rep.summary['prune_iters']}")
     print(f"FLOPs ratio {flops['ratio']:.4f}x; checkpoint: {out_path}")
     return 0
 

@@ -19,12 +19,15 @@ import json
 import platform
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .network import (NetworkState, _batch_major, apply_layer, input_batch, layer_def,
                       resolve_layers)
-from .scheduler import LayerGroups, check_pruned_zero
+
+if TYPE_CHECKING:               # the scheduler imports this module, not the reverse
+    from .scheduler import LayerGroups
 
 
 class PlanError(ValueError):
@@ -41,6 +44,17 @@ class ConvPlan:
 
     keep_rows: np.ndarray
     keep_cols: np.ndarray
+
+
+def check_pruned_zero(net: NetworkState, lg: LayerGroups, error: type[ValueError]) -> None:
+    """Raise ``error`` if a group flagged pruned still holds a nonzero weight."""
+    w = net.weights[lg.layer]
+    hit = np.broadcast_to(lg.pruned.reshape(lg.layout), w.shape) & (w != 0)
+    # a group spans every axis where its layout is 1; fold those to one flag
+    spans = tuple(ax for ax, n in enumerate(lg.layout) if n == 1)
+    live = np.flatnonzero(hit.any(axis=spans))
+    if live.size:
+        raise error(f"layer {lg.layer} group {live[0]} is pruned but has nonzero weights")
 
 
 def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> dict[int, ConvPlan]:
@@ -110,14 +124,46 @@ class CompactNetwork(NetworkState):
         return _batch_major(x)
 
 
+def kept_index(net: NetworkState, plan: dict[int, ConvPlan]) -> list:
+    """Flat indices of each parametric layer's kept weights and biases.
+
+    One ``(weight index, bias index)`` pair per parametric layer of the full
+    network, None for the others, in the compacted layout's row-major
+    order: ``np.take(w, index)`` is the compacted weight, and assigning
+    through the index writes one back. A conv keeps its kept filters' kept
+    lowered columns, and an fc right after the last conv the input slices
+    of that conv's kept filters.
+    """
+    index: list = []
+    arriving = None                     # kept filters of the previous conv, and their count
+    for i, spec in enumerate(net.layers):
+        if spec.kind == "conv":
+            cp = plan[i]
+            index.append(((cp.keep_rows[:, None] * spec.geom.cols + cp.keep_cols).ravel(),
+                          cp.keep_rows))
+            arriving = (cp.keep_rows, spec.filters)
+        elif spec.kind == "fc":
+            feats = np.arange(spec.in_features)
+            if arriving is not None:
+                rows, filters = arriving
+                hw = spec.in_features // filters
+                feats = (rows[:, None] * hw + np.arange(hw)).ravel()
+                arriving = None
+            outs = np.arange(spec.out_features)
+            index.append(((outs[:, None] * spec.in_features + feats).ravel(), outs))
+        else:
+            index.append(None)
+    return index
+
+
 def compact(net: NetworkState, plan: dict[int, ConvPlan]) -> CompactNetwork:
-    """Materialize the plan; kept weights are copied bit-for-bit.
+    """Materialize the plan; kept weights, biases and momenta are copied bit-for-bit.
 
     The layers are resolved again on the kept filter counts, which gives
-    every later conv and the fc their shrunk inputs; the fc keeps the input
-    slices of the last conv's kept filters. The first conv keeps the full
-    input; like any conv that lost columns, it gets ``keep_cols``, its kept
-    columns renumbered to the channels that reach it.
+    every later conv and the fc their shrunk inputs; each parameter is its
+    full-size array gathered through :func:`kept_index`. The first conv
+    keeps the full input; like any conv that lost columns, it gets
+    ``keep_cols``, its kept columns renumbered to the channels that reach it.
     """
     defs = [layer_def(spec) for spec in net.layers]
     for i in net.conv_indices:
@@ -125,32 +171,27 @@ def compact(net: NetworkState, plan: dict[int, ConvPlan]) -> CompactNetwork:
             raise PlanError(f"plan is missing conv layer {i}")
         defs[i]["filters"] = len(plan[i].keep_rows)
     layers = resolve_layers(defs, net.input_shape)
-    weights, biases = [], []
     arriving = None                     # kept filters of the previous conv
-    for i, spec in enumerate(layers):
-        w, b = net.weights[i], net.biases[i]
-        if spec.kind == "conv":
-            cp = plan[i]
-            block = spec.geom.kernel_h * spec.geom.kernel_w
-            cols = cp.keep_cols
-            if arriving is not None:
-                cols = np.searchsorted(arriving, cols // block) * block + cols % block
-            if len(cols) < spec.geom.cols:
-                spec.keep_cols = cols
-            w = w.reshape(len(w), -1)[np.ix_(cp.keep_rows, cp.keep_cols)]
-            w = w.reshape(spec.weight_shape())
-            b = b[cp.keep_rows]
-            arriving = cp.keep_rows
-        elif spec.kind == "fc" and arriving is not None:
-            hw = spec.in_features // len(arriving)
-            w = w[:, (arriving[:, None] * hw + np.arange(hw)).ravel()]
-            arriving = None
-        weights.append(None if w is None else w.copy())
-        biases.append(None if b is None else b.copy())
+    for i in net.conv_indices:
+        spec, cp = layers[i], plan[i]
+        block = spec.geom.kernel_h * spec.geom.kernel_w
+        cols = cp.keep_cols
+        if arriving is not None:
+            cols = np.searchsorted(arriving, cols // block) * block + cols % block
+        if len(cols) < spec.geom.cols:
+            spec.keep_cols = cols
+        arriving = cp.keep_rows
+    weights, biases, vel_w, vel_b = ([None] * len(layers) for _ in range(4))
+    for i, ix in enumerate(kept_index(net, plan)):
+        if ix is not None:
+            shape = layers[i].weight_shape()
+            weights[i] = np.take(net.weights[i], ix[0]).reshape(shape)
+            vel_w[i] = np.take(net.vel_w[i], ix[0]).reshape(shape)
+            biases[i] = np.take(net.biases[i], ix[1])
+            vel_b[i] = np.take(net.vel_b[i], ix[1])
     return CompactNetwork(
         layers=layers, input_shape=net.input_shape, weights=weights, biases=biases,
-        vel_w=[None if w is None else np.zeros_like(w) for w in weights],
-        vel_b=[None if b is None else np.zeros_like(b) for b in biases],
+        vel_w=vel_w, vel_b=vel_b,
         rng_seed=net.rng_seed, iteration=net.iteration, dtype=net.dtype,
         meta=dict(net.meta),
     )

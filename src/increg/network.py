@@ -534,33 +534,34 @@ def _sgd_loop(net, x, y, cfg, seed, phase, terms, val=None, log_rows=None):
 
     Draws batches from a fresh stream seeded ``seed`` and steps the lr
     schedule from the phase's own step 0, whatever ``net.iteration`` is.
-    Before step k, ``terms(k)`` returns that step's ``(reg, masks,
-    bias_masks)`` for :func:`sgd_step`. Logs one row per epoch when a sink
-    is given. Raises TrainingDiverged, naming ``phase``, at the first
-    non-finite loss, and DatasetError before the first step if a label is
-    not one of the net's classes.
+    Before step k, ``terms(k)`` returns ``(step_net, reg, masks,
+    bias_masks)``: the net that step k trains (``net``, or the prune's
+    compacted net) and the terms of its :func:`sgd_step`. Logs one row per
+    epoch when a sink is given. Raises TrainingDiverged, naming ``phase``,
+    at the first non-finite loss, and DatasetError before the first step if
+    a label is not one of the net's classes.
     """
     check_labels(net, (x, y), val)
     stream = batch_iter(x, y, cfg.batch_size, seed)
     per_epoch = max(len(x) // cfg.batch_size, 1)
     loss_acc = 0.0
     for k in range(cfg.max_iters):
-        reg, masks, bias_masks = terms(k)
+        step_net, reg, masks, bias_masks = terms(k)
         xb, yb = next(stream)
-        loss, dw, db = loss_and_grads(net, xb, yb)
-        check_loss(net, loss, xb, phase)
+        loss, dw, db = loss_and_grads(step_net, xb, yb)
+        check_loss(step_net, loss, xb, phase)
         lr = lr_at(cfg, k)
-        sgd_step(net, dw, db, cfg, lr=lr, reg=reg, masks=masks, bias_masks=bias_masks)
+        sgd_step(step_net, dw, db, cfg, lr=lr, reg=reg, masks=masks, bias_masks=bias_masks)
         loss_acc += loss
         if log_rows is not None and (k + 1) % per_epoch == 0:
             row = {
-                "iteration": net.iteration,
+                "iteration": step_net.iteration,
                 "epoch": (k + 1) // per_epoch,
                 "lr": lr,
                 "train_loss": loss_acc / per_epoch,
             }
             if val is not None and len(val[0]):
-                acc, vloss = evaluate(net, val[0], val[1])
+                acc, vloss = evaluate(step_net, val[0], val[1])
                 row["val_accuracy"] = acc
                 row["val_loss"] = vloss
             log_rows.append(row)
@@ -577,4 +578,4 @@ def train_network(net, x, y, cfg, seed, val=None, log_rows=None,
     batch stream, the lr schedule, the per-epoch log and the errors.
     """
     return _sgd_loop(net, x, y, cfg, seed, phase,
-                     lambda k: (None, masks, bias_masks), val, log_rows)
+                     lambda k: (net, None, masks, bias_masks), val, log_rows)

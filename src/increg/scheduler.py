@@ -7,7 +7,8 @@ group's regularization factor moves by a piecewise-linear amount of its
 running-average rank: low-ranked (unimportant) groups are pushed toward
 zero, high-ranked ones get relief. Groups whose L1-norm falls below a
 threshold are pruned permanently, until every layer holds exactly its
-target count. A layer's whole state is a few per-group vectors
+target count; the rest of the phase then trains the compacted network.
+A layer's whole state is a few per-group vectors
 (:class:`LayerGroups`); :func:`group_layout` and :func:`group_l1` define
 where each group lies in the weight.
 """
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .compact import build_plan, check_pruned_zero, compact, kept_index
 from .network import NetworkState, TrainConfig, _sgd_loop, evaluate
 from .report import PruneReport, Snapshot
 
@@ -55,10 +57,11 @@ class PruneSchedule:
     def __post_init__(self):
         if not 0 <= self.ratio < 1:
             raise ScheduleError(f"ratio must be in [0,1), got {self.ratio}")
-        if self.speed <= 0:
-            raise ScheduleError(f"speed must be positive, got {self.speed}")
-        if self.epsilon <= 0:
-            raise ScheduleError(f"epsilon must be positive, got {self.epsilon}")
+        # written so that NaN fails too
+        if not 0 < self.speed < math.inf:
+            raise ScheduleError(f"speed must be positive and finite, got {self.speed}")
+        if not 0 < self.epsilon < math.inf:
+            raise ScheduleError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.update_interval < 1:
             raise ScheduleError(f"update_interval must be >= 1, got {self.update_interval}")
         if self.kind not in GROUP_KINDS:
@@ -273,14 +276,6 @@ def prune_converged(net: NetworkState, lg: LayerGroups,
     return below
 
 
-def check_pruned_zero(net: NetworkState, lg: LayerGroups, error: type[ValueError]) -> None:
-    """Raise ``error`` if a group flagged pruned still holds a nonzero weight."""
-    # a group's L1-norm is 0 exactly when every weight in it is 0
-    live = np.flatnonzero(lg.pruned & (group_l1(net.weights[lg.layer], lg.kind) != 0))
-    if live.size:
-        raise error(f"layer {lg.layer} group {live[0]} is pruned but has nonzero weights")
-
-
 def materialize_reg(net: NetworkState, layer_groups: list[LayerGroups]):
     """Per-layer factor arrays and keep-masks shaped to broadcast over weights.
 
@@ -300,6 +295,7 @@ def materialize_reg(net: NetworkState, layer_groups: list[LayerGroups]):
     return reg, masks, bias_masks
 
 
+_PARAMS = ("weights", "biases", "vel_w", "vel_b")
 _META_KEYS = ("layer", "kind", "target", "ratio", "speed", "epsilon",
               "update_interval", "lambda", "rank_sum", "rank_count", "pruned")
 _META_NUMBERS = {"ratio": (int, float), "speed": (int, float), "epsilon": (int, float),
@@ -330,11 +326,11 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
     """Rebuild scheduler state saved by :func:`groups_to_meta`.
 
     Raises ScheduleError for a state that is not a list, a missing key, a
-    schedule value that is not a plain number (an int for
+    schedule value that is not a finite plain number (an int for
     ``update_interval`` and ``layer``), a per-group list whose length is
-    not the layer's group count, unequal rank counts, pruned flags other
-    than 0 and 1, a pruned group whose weights are not all zero, or
-    unreadable values.
+    not the layer's group count, a NaN or infinite factor or rank sum,
+    unequal rank counts, pruned flags other than 0 and 1, a pruned group
+    whose weights are not all zero, or unreadable values.
     """
     if not isinstance(meta, list):
         raise ScheduleError(f"scheduler state must be a list of layers, got {meta!r}")
@@ -350,6 +346,8 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
             if type(m[key]) not in kinds:
                 what = "a number" if float in kinds else "an integer"
                 raise ScheduleError(f"scheduler state {key!r} must be {what}, got {m[key]!r}")
+            if not math.isfinite(m[key]):
+                raise ScheduleError(f"scheduler state {key!r} must be finite, got {m[key]!r}")
         sch = PruneSchedule(
             ratio=m["ratio"], speed=m["speed"], epsilon=m["epsilon"],
             update_interval=m["update_interval"], kind=m["kind"], layer=m["layer"],
@@ -374,10 +372,66 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
             lg.pruned[:] = m["pruned"]
         except (TypeError, ValueError) as e:
             raise ScheduleError(f"layer {lg.layer}: unreadable scheduler state: {e}") from e
+        for key, vec in (("lambda", lg.lam), ("rank_sum", lg.rank_sum)):
+            bad = np.flatnonzero(~np.isfinite(vec))
+            if bad.size:
+                raise ScheduleError(f"layer {lg.layer}: saved {key!r} of group {bad[0]} "
+                                    f"is {vec[bad[0]]}, not a finite number")
         check_pruned_zero(net, lg, ScheduleError)
         refresh_l1(net, lg)
         out.append(lg)
     return out
+
+
+class _CompactTail:
+    """The compacted net that trains a prune's steps after every layer is
+    finished, and the index maps between it and the full-size net.
+
+    Made at the first finished step: the full-size arrays are zeroed and
+    take back the kept entries, so the weights that nothing reads (a filter
+    retired upstream by a channel group, and the next conv's columns and
+    the fc inputs that read a dead filter) hold zeros from then on. Each
+    tail step writes the kept conv weights back before the scheduler reads
+    its group norms from the full-size weights; :meth:`scatter` writes
+    every kept parameter back at the end.
+    """
+
+    def __init__(self, full: NetworkState, layer_groups: list[LayerGroups]):
+        plan = build_plan(full, layer_groups)
+        self.full = full
+        self.net = compact(full, plan)
+        self.index = kept_index(full, plan)
+        # each layer's factors as the compacted weight's extra decay: one per
+        # kept filter for rows, one per kept lowered column for columns and
+        # channels (a channel's factor over its block of columns)
+        self.factors = []
+        for lg in layer_groups:
+            cp, w = plan[lg.layer], self.net.weights[lg.layer]
+            if lg.kind == "row":
+                self.factors.append((lg, cp.keep_rows, (-1,) + (1,) * (w.ndim - 1)))
+            else:
+                g = full.layers[lg.layer].geom
+                block = g.kernel_h * g.kernel_w
+                sel = cp.keep_cols if lg.kind == "column" else cp.keep_cols // block
+                self.factors.append((lg, sel, (1, *w.shape[1:])))
+        for name in _PARAMS:
+            for a in getattr(full, name):
+                if a is not None:
+                    a.fill(0)
+        self.scatter()
+
+    def reg(self) -> dict[int, np.ndarray]:
+        return {lg.layer: lg.lam[sel].reshape(shape) for lg, sel, shape in self.factors}
+
+    def scatter(self, names=_PARAMS, layers=None) -> None:
+        """Write the compacted net's kept entries into the full-size arrays."""
+        for name in names:
+            which = name in ("biases", "vel_b")
+            for i in self.full.parametric_indices if layers is None else layers:
+                # reshape(-1) is a view: every array of a net is C-contiguous
+                full = getattr(self.full, name)[i].reshape(-1)
+                full[self.index[i][which]] = getattr(self.net, name)[i].reshape(-1)
+        self.full.iteration = self.net.iteration
 
 
 def _snapshot(snapshots: list, step: int, layer_groups: list[LayerGroups],
@@ -410,9 +464,27 @@ def run_pruning(
     factors and keep-masks of :func:`materialize_reg`. The factor machinery
     going quiet does not stop training: all cfg.max_iters iterations run,
     so a zero-ratio schedule reproduces ``network.train_network`` bitwise.
-    Raises PruneDidNotConverge if any layer misses its target,
-    TrainingDiverged at the first non-finite loss, and DatasetError before
-    the first step if a label is not one of the net's classes.
+
+    From the first step at which every layer is finished, the remaining
+    steps (the summary's ``compacted_steps``) train the compacted net of
+    ``compact.compact`` with no masks and with each layer's factors cut to
+    its kept filters or columns; the scheduler still reads every group's
+    norm over the full-size weights. At the end the kept weights, biases
+    and momenta are written back into ``net``'s full-size arrays, where
+    every weight that nothing reads and no group prunes is an exact zero:
+    a filter retired upstream by a channel group, and the next conv's
+    columns and the fc inputs that read a dead filter. A zero-ratio
+    schedule keeps every filter and column, so it still matches plain
+    training bit for bit. The summary's ``converged_iteration`` is the
+    net's global iteration (earlier phases' steps included) at the first
+    finished step, or after the last step if only that step finished it.
+
+    Raises PruneDidNotConverge if any layer misses its target (the net
+    then never compacted, and its state stays full-size), PlanError at the
+    first finished step if the pruned groups leave a conv no filter or no
+    column to keep, TrainingDiverged at the first non-finite loss, and
+    DatasetError before the first step if a label is not one of the net's
+    classes.
 
     report_stride thins the report to every Nth update step (the first and
     final states are always recorded); it does not change the schedule.
@@ -425,6 +497,8 @@ def run_pruning(
     layer_groups = build_all_groups(net, schedules)
     snapshots: list[Snapshot] = []
     converged_at: int | None = None
+    tail: _CompactTail | None = None
+    tail_steps = 0
 
     def prune_pass() -> bool:
         for lg in layer_groups:
@@ -434,10 +508,14 @@ def run_pruning(
         return all(lg.finished for lg in layer_groups)
 
     def terms(k: int):
-        nonlocal converged_at
+        nonlocal converged_at, tail, tail_steps
+        if tail is not None:
+            tail.scatter(("weights",), [lg.layer for lg in layer_groups])
         t = net.iteration
         if prune_pass() and converged_at is None:
             converged_at = t
+            tail = _CompactTail(net, layer_groups)
+            tail_steps = cfg.max_iters - k
         inst: dict[int, np.ndarray] = {}
         for lg in layer_groups:
             inst[lg.layer] = ranks = rank_groups(lg.l1)
@@ -458,10 +536,14 @@ def run_pruning(
                 if k % (lg.schedule.update_interval * report_stride) == 0]
         if snap:
             _snapshot(snapshots, t, snap, inst)
-        return materialize_reg(net, layer_groups)
+        if tail is not None:
+            return tail.net, tail.reg(), None, None
+        return (net, *materialize_reg(net, layer_groups))
 
     _sgd_loop(net, x, y, cfg, net.rng_seed if seed is None else seed, "prune",
               terms, val=eval_data)
+    if tail is not None:
+        tail.scatter()
 
     # the last step may have pushed the final groups under the threshold
     if prune_pass() and converged_at is None:
@@ -472,6 +554,7 @@ def run_pruning(
     summary = {
         "converged_iteration": converged_at,
         "prune_iters": cfg.max_iters,
+        "compacted_steps": tail_steps,
         "layers": [
             {
                 "layer": lg.layer,

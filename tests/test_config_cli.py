@@ -546,12 +546,26 @@ class TestCli:
          "scheduler state 'update_interval' must be an integer, got 10.0"),
         (lambda m: m["scheduler"][1].__setitem__("layer", True),
          "scheduler state 'layer' must be an integer, got True"),
+        # the JSON reader accepts NaN and Infinity
+        (lambda m: m["scheduler"][0].__setitem__("speed", float("nan")),
+         "scheduler state 'speed' must be finite, got nan"),
+        (lambda m: m["scheduler"][0].__setitem__("speed", float("inf")),
+         "scheduler state 'speed' must be finite, got inf"),
+        (lambda m: m["scheduler"][0].__setitem__("epsilon", float("nan")),
+         "scheduler state 'epsilon' must be finite, got nan"),
+        (lambda m: m["scheduler"][0].__setitem__("epsilon", float("-inf")),
+         "scheduler state 'epsilon' must be finite, got -inf"),
+        (lambda m: m["scheduler"][0]["lambda"].__setitem__(1, float("nan")),
+         "layer 0: saved 'lambda' of group 1 is nan, not a finite number"),
+        (lambda m: m["scheduler"][1]["rank_sum"].__setitem__(0, float("inf")),
+         "layer 2: saved 'rank_sum' of group 0 is inf, not a finite number"),
     ], ids=["unknown-kind", "no-seed", "scheduler-not-a-list", "meta-not-a-mapping",
             "flag-not-0-or-1", "flagged-group-not-zero", "unknown-layer-key",
             "float-filters", "float-input-shape", "bool-seed", "float-iteration",
             "no-final-fc", "string-speed", "list-speed", "bool-speed", "string-ratio",
             "null-epsilon", "string-update-interval", "float-update-interval",
-            "bool-layer"])
+            "bool-layer", "nan-speed", "inf-speed", "nan-epsilon", "minus-inf-epsilon",
+            "nan-lambda", "inf-rank-sum"])
     def test_bad_checkpoint_metadata_is_exit_2(self, pipeline_cfg, capsys, edit, says):
         cfg_path, out = pipeline_cfg
         cfg = parse_config(FAST_PIPELINE)
@@ -639,6 +653,10 @@ class TestCli:
         assert summary["converged_iteration"] is not None
         assert summary["flops_ratio"] > 1.5
         assert [l["pruned"] for l in summary["layers"]] == [5, 5]
+        # converged_iteration counts the train steps too; the tail runs after it
+        tail = summary["prune_iters"] - (summary["converged_iteration"] - 300)
+        assert summary["compacted_steps"] == tail > 0
+        assert f"compacted steps: {tail} of {summary['prune_iters']}\n" in prune_out
 
         assert main(["retrain", "--config", cfg_path, "--out", out]) == 0
         capsys.readouterr()
@@ -677,6 +695,7 @@ class TestCli:
         assert "did not converge" in capsys.readouterr().err
         summary = read_json(os.path.join(out, "prune_summary.json"))
         assert summary["converged_iteration"] is None
+        assert summary["compacted_steps"] == 0
         assert os.path.exists(os.path.join(out, "prune_report.csv"))
 
     def test_diverging_train_is_exit_4(self, tmp_path, capsys):
