@@ -16,7 +16,7 @@ from .config import ConfigError, parse_config
 from .data import DatasetError, load_dataset
 from .network import TrainingDiverged, build_network, evaluate, train_network
 from .report import ReportError
-from .scheduler import PruneDidNotConverge, ScheduleError, materialize_reg, run_pruning
+from .scheduler import PruneDidNotConverge, ScheduleError, retrain_network, run_pruning
 from .tensor import GeometryError, ShapeError
 
 __version__ = "0.1.0"
@@ -38,8 +38,8 @@ __all__ = [
     "count_gflops",
     "evaluate",
     "load_dataset",
-    "materialize_reg",
     "parse_config",
+    "retrain_network",
     "run_pruning",
     "train_network",
 ]

@@ -82,13 +82,23 @@ def _write_log(rows: list[dict], path) -> None:
                         for k, v in r.items()})
 
 
+def _weight_count(net) -> int:
+    return sum(w.size for w in net.weights if w is not None)
+
+
 def _fit_and_save(cfg, net, train, val, tcfg, seed, verb, ckpt_name,
-                  scheduler=None, masks=None, bias_masks=None) -> int:
-    """Run train_network with a per-epoch log, then write ``<verb>_log.csv``
-    and the checkpoint; shared by train and retrain."""
+                  groups=None, scheduler=None) -> int:
+    """Run train_network, or retrain_network on the pruned ``groups``, with a
+    per-epoch log, then write ``<verb>_log.csv`` and the checkpoint; shared
+    by train and retrain."""
     rows: list[dict] = []
-    train_network(net, train[0], train[1], tcfg, seed, val=val,
-                  log_rows=rows, masks=masks, bias_masks=bias_masks, phase=verb)
+    if groups is None:
+        train_network(net, *train, tcfg, seed, val=val, log_rows=rows)
+    else:
+        small = sched.retrain_network(net, groups, *train, tcfg, seed, val=val,
+                                      log_rows=rows)
+        print(f"retrained on the compacted net: {_weight_count(small)} of "
+              f"{_weight_count(net)} weights")
     os.makedirs(cfg.out, exist_ok=True)
     _write_log(rows, os.path.join(cfg.out, f"{verb}_log.csv"))
     path = os.path.join(cfg.out, ckpt_name)
@@ -122,11 +132,11 @@ def cmd_prune(args) -> int:
             seed=cfg.seed, eval_data=val if len(val[0]) else None,
             report_stride=cfg.report_stride,
         )
-    except sched.PruneDidNotConverge as e:
+    except sched.PruneStopped as e:
+        # exit 3, or exit 2 for a prune that cannot compact, after the partial report
         reportmod.write_csv(e.report, report_path)
         reportmod.write_summary(e.report, summary_path)
-        print(f"pruning did not converge: {e}", file=sys.stderr)
-        return 3
+        raise
     flops = flops_totals(net, compact(net, build_plan(net, groups)))
     rep.summary["flops_base"] = flops["total_base"]
     rep.summary["flops_pruned"] = flops["total_pruned"]
@@ -148,10 +158,9 @@ def cmd_retrain(args) -> int:
     train, val, _test, _shape, _means = load_dataset(cfg)
     net, scheduler_meta, groups = _load_pruned(
         args.checkpoint or os.path.join(cfg.out, "pruned.ckpt"))
-    _, masks, bias_masks = sched.materialize_reg(net, groups)
     return _fit_and_save(cfg, net, train, val, cfg.retrain, cfg.seed + 1,
-                         "retrain", "retrained.ckpt", scheduler=scheduler_meta,
-                         masks=masks, bias_masks=bias_masks)
+                         "retrain", "retrained.ckpt", groups=groups,
+                         scheduler=scheduler_meta)
 
 
 def cmd_bench(args) -> int:
@@ -250,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("prune", help="prune a trained model to the target ratios")
     common(sp)
     sp.add_argument("--checkpoint", metavar="PATH", help="baseline checkpoint")
-    sp = sub.add_parser("retrain", help="fine-tune a pruned model with frozen masks")
+    sp = sub.add_parser("retrain", help="fine-tune a pruned model's compacted net")
     common(sp)
     sp.add_argument("--checkpoint", metavar="PATH", help="pruned checkpoint")
     sp = sub.add_parser("bench", help="compact a pruned model and time it")

@@ -10,7 +10,8 @@ of the fc input, and a conv that lost columns keeps its kernel as a lowered
 matrix and lowers only the input rows those columns read
 (``LayerSpec.keep_cols``), so arbitrary column subsets remain dense. That
 network is the one description of the pruned shape: its FLOPs are counted
-from its own weights, like any network's.
+from its own weights, like any network's. :class:`Compacted` trains it in
+place of the full-size net and writes its kept entries back.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> dict[int, 
     clears its filter, a pruned column its column, and a pruned channel its
     block of columns plus, past the first conv, the filter upstream that
     produces it. A dead filter then clears its channel's block in the next
-    conv.
+    conv. Raises PlanError where a conv keeps no filter or no column, or
+    where no kept column of a conv reads a surviving filter of the previous
+    one; that message names the previous conv.
     """
     convs = net.conv_indices
     rows = {l: np.ones(net.layers[l].filters, dtype=bool) for l in convs}
@@ -85,18 +88,21 @@ def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> dict[int, 
         if lg.kind == "channel" and l != convs[0]:
             rows[convs[convs.index(l) - 1]] &= ~lg.pruned
     plan = {}
-    arriving = None                     # kept filters of the previous conv
+    prev = None                         # the previous conv
     for l in convs:
         g = net.layers[l].geom
-        if arriving is not None:
-            cols[l] &= np.repeat(arriving, g.kernel_h * g.kernel_w)
         if not rows[l].any():
             raise PlanError(f"layer {l}: every filter pruned, nothing to keep")
         if not cols[l].any():
             raise PlanError(f"layer {l}: every column pruned, nothing to keep")
+        if prev is not None:
+            cols[l] &= np.repeat(rows[prev], g.kernel_h * g.kernel_w)
+            if not cols[l].any():
+                raise PlanError(f"layer {prev}: no kept column of layer {l} reads a "
+                                f"surviving filter, so the net is disconnected")
         plan[l] = ConvPlan(keep_rows=np.flatnonzero(rows[l]),
                            keep_cols=np.flatnonzero(cols[l]))
-        arriving = rows[l]
+        prev = l
     return plan
 
 
@@ -195,6 +201,43 @@ def compact(net: NetworkState, plan: dict[int, ConvPlan]) -> CompactNetwork:
         rng_seed=net.rng_seed, iteration=net.iteration, dtype=net.dtype,
         meta=dict(net.meta),
     )
+
+
+_PARAMS = ("weights", "biases", "vel_w", "vel_b")
+
+
+class Compacted:
+    """The compacted net of a full-size net, which trains in its place, and
+    the write-back of its kept entries.
+
+    ``net`` is :func:`compact` of the plan, momenta included. On creation
+    the full-size arrays are zeroed and take back the kept entries, so the
+    weights that nothing reads (a filter retired upstream by a channel
+    group, and the next conv's columns and the fc inputs that read a dead
+    filter) hold zeros from then on; :meth:`scatter` writes the trained
+    entries back through :func:`kept_index`. The prune's tail and the
+    retrain both train through it.
+    """
+
+    def __init__(self, full: NetworkState, plan: dict[int, ConvPlan]):
+        self.full = full
+        self.net = compact(full, plan)
+        self.index = kept_index(full, plan)
+        for name in _PARAMS:
+            for a in getattr(full, name):
+                if a is not None:
+                    a.fill(0)
+        self.scatter()
+
+    def scatter(self, names=_PARAMS, layers=None) -> None:
+        """Write the compacted net's kept entries into the full-size arrays."""
+        for name in names:
+            which = name in ("biases", "vel_b")
+            for i in self.full.parametric_indices if layers is None else layers:
+                # reshape(-1) is a view: every array of a net is C-contiguous
+                full = getattr(self.full, name)[i].reshape(-1)
+                full[self.index[i][which]] = getattr(self.net, name)[i].reshape(-1)
+        self.full.iteration = self.net.iteration
 
 
 def count_gflops(net: NetworkState) -> dict[int, int]:

@@ -535,8 +535,8 @@ def _sgd_loop(net, x, y, cfg, seed, phase, terms, val=None, log_rows=None):
     Draws batches from a fresh stream seeded ``seed`` and steps the lr
     schedule from the phase's own step 0, whatever ``net.iteration`` is.
     Before step k, ``terms(k)`` returns ``(step_net, reg, masks,
-    bias_masks)``: the net that step k trains (``net``, or the prune's
-    compacted net) and the terms of its :func:`sgd_step`. Logs one row per
+    bias_masks)``: the net that step k trains (``net``, or a compacted
+    net) and the terms of its :func:`sgd_step`. Logs one row per
     epoch when a sink is given. Raises TrainingDiverged, naming ``phase``,
     at the first non-finite loss, and DatasetError before the first step if
     a label is not one of the net's classes.
@@ -569,13 +569,12 @@ def _sgd_loop(net, x, y, cfg, seed, phase, terms, val=None, log_rows=None):
     return net
 
 
-def train_network(net, x, y, cfg, seed, val=None, log_rows=None,
-                  masks=None, bias_masks=None, phase="train"):
-    """Train and retrain: ``cfg.max_iters`` steps of the SGD loop.
+def train_network(net, x, y, cfg, seed, val=None, log_rows=None):
+    """Train: ``cfg.max_iters`` steps of the SGD loop on the whole net.
 
-    ``masks``/``bias_masks`` (from :func:`scheduler.materialize_reg`) pin
-    pruned weights at zero on every step. See :func:`_sgd_loop` for the
-    batch stream, the lr schedule, the per-epoch log and the errors.
+    See :func:`_sgd_loop` for the batch stream, the lr schedule, the
+    per-epoch log and the errors; ``scheduler.retrain_network`` fine-tunes
+    a pruned net.
     """
-    return _sgd_loop(net, x, y, cfg, seed, phase,
-                     lambda k: (net, None, masks, bias_masks), val, log_rows)
+    return _sgd_loop(net, x, y, cfg, seed, "train",
+                     lambda k: (net, None, None, None), val, log_rows)

@@ -7,7 +7,8 @@ group's regularization factor moves by a piecewise-linear amount of its
 running-average rank: low-ranked (unimportant) groups are pushed toward
 zero, high-ranked ones get relief. Groups whose L1-norm falls below a
 threshold are pruned permanently, until every layer holds exactly its
-target count; the rest of the phase then trains the compacted network.
+target count; the rest of the phase then trains the compacted network, and
+so does the retrain that follows (:func:`retrain_network`).
 A layer's whole state is a few per-group vectors
 (:class:`LayerGroups`); :func:`group_layout` and :func:`group_l1` define
 where each group lies in the weight.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .compact import build_plan, check_pruned_zero, compact, kept_index
+from .compact import Compacted, PlanError, build_plan, check_pruned_zero
 from .network import NetworkState, TrainConfig, _sgd_loop, evaluate
 from .report import PruneReport, Snapshot
 
@@ -31,8 +32,8 @@ class ScheduleError(ValueError):
     """A pruning schedule is inconsistent with the network or itself."""
 
 
-class PruneDidNotConverge(RuntimeError):
-    """Targets were not reached within the iteration budget.
+class PruneStopped(Exception):
+    """A prune that stopped without a pruned net.
 
     Carries the partial report and group state for post-mortem inspection.
     """
@@ -41,6 +42,16 @@ class PruneDidNotConverge(RuntimeError):
         super().__init__(message)
         self.report = report
         self.groups = groups
+
+
+class PruneDidNotConverge(PruneStopped, RuntimeError):
+    """Targets were not reached within the iteration budget."""
+
+
+class PruneCannotCompact(PruneStopped, PlanError):
+    """Every layer reached its target, but the pruned groups leave some conv
+    nothing to keep, or nothing that reads the previous conv's surviving
+    filters (see ``compact.build_plan``)."""
 
 
 @dataclass(frozen=True)
@@ -295,7 +306,6 @@ def materialize_reg(net: NetworkState, layer_groups: list[LayerGroups]):
     return reg, masks, bias_masks
 
 
-_PARAMS = ("weights", "biases", "vel_w", "vel_b")
 _META_KEYS = ("layer", "kind", "target", "ratio", "speed", "epsilon",
               "update_interval", "lambda", "rank_sum", "rank_count", "pruned")
 _META_NUMBERS = {"ratio": (int, float), "speed": (int, float), "epsilon": (int, float),
@@ -383,24 +393,17 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
     return out
 
 
-class _CompactTail:
+class _CompactTail(Compacted):
     """The compacted net that trains a prune's steps after every layer is
-    finished, and the index maps between it and the full-size net.
+    finished, and each layer's factors cut to it.
 
-    Made at the first finished step: the full-size arrays are zeroed and
-    take back the kept entries, so the weights that nothing reads (a filter
-    retired upstream by a channel group, and the next conv's columns and
-    the fc inputs that read a dead filter) hold zeros from then on. Each
-    tail step writes the kept conv weights back before the scheduler reads
-    its group norms from the full-size weights; :meth:`scatter` writes
-    every kept parameter back at the end.
+    Each tail step writes the kept conv weights back before the scheduler
+    reads its group norms from the full-size weights.
     """
 
     def __init__(self, full: NetworkState, layer_groups: list[LayerGroups]):
         plan = build_plan(full, layer_groups)
-        self.full = full
-        self.net = compact(full, plan)
-        self.index = kept_index(full, plan)
+        super().__init__(full, plan)
         # each layer's factors as the compacted weight's extra decay: one per
         # kept filter for rows, one per kept lowered column for columns and
         # channels (a channel's factor over its block of columns)
@@ -414,24 +417,9 @@ class _CompactTail:
                 block = g.kernel_h * g.kernel_w
                 sel = cp.keep_cols if lg.kind == "column" else cp.keep_cols // block
                 self.factors.append((lg, sel, (1, *w.shape[1:])))
-        for name in _PARAMS:
-            for a in getattr(full, name):
-                if a is not None:
-                    a.fill(0)
-        self.scatter()
 
     def reg(self) -> dict[int, np.ndarray]:
         return {lg.layer: lg.lam[sel].reshape(shape) for lg, sel, shape in self.factors}
-
-    def scatter(self, names=_PARAMS, layers=None) -> None:
-        """Write the compacted net's kept entries into the full-size arrays."""
-        for name in names:
-            which = name in ("biases", "vel_b")
-            for i in self.full.parametric_indices if layers is None else layers:
-                # reshape(-1) is a view: every array of a net is C-contiguous
-                full = getattr(self.full, name)[i].reshape(-1)
-                full[self.index[i][which]] = getattr(self.net, name)[i].reshape(-1)
-        self.full.iteration = self.net.iteration
 
 
 def _snapshot(snapshots: list, step: int, layer_groups: list[LayerGroups],
@@ -480,17 +468,18 @@ def run_pruning(
     finished step, or after the last step if only that step finished it.
 
     Raises PruneDidNotConverge if any layer misses its target (the net
-    then never compacted, and its state stays full-size), PlanError at the
-    first finished step if the pruned groups leave a conv no filter or no
-    column to keep, TrainingDiverged at the first non-finite loss, and
-    DatasetError before the first step if a label is not one of the net's
-    classes.
+    then never compacted, and its state stays full-size);
+    PruneCannotCompact, a PlanError, at the first finished step if the
+    pruned groups leave a conv no filter or no column to keep, or no kept
+    column that reads the previous conv's surviving filters (its report
+    ends with every layer's state at that step); TrainingDiverged at the
+    first non-finite loss; and DatasetError before the first step if a
+    label is not one of the net's classes.
 
     report_stride thins the report to every Nth update step (the first and
     final states are always recorded); it does not change the schedule.
-    Fine-tuning is not part of this phase: pass the masks of
-    :func:`materialize_reg` to ``network.train_network``, as ``increg retrain``
-    does.
+    Fine-tuning is not part of this phase: :func:`retrain_network` runs it
+    on the pruned net and its groups, as ``increg retrain`` does.
     """
     if report_stride < 1:
         raise ScheduleError(f"report_stride must be >= 1, got {report_stride}")
@@ -507,15 +496,31 @@ def run_pruning(
                 prune_converged(net, lg, max_new=lg.target - lg.pruned_count)
         return all(lg.finished for lg in layer_groups)
 
+    def summary() -> dict:
+        return {
+            "converged_iteration": converged_at,
+            "prune_iters": cfg.max_iters,
+            "compacted_steps": tail_steps,
+            "layers": [
+                {
+                    "layer": lg.layer,
+                    "kind": lg.kind,
+                    "n_groups": lg.n_groups,
+                    "target": lg.target,
+                    "pruned": lg.pruned_count,
+                }
+                for lg in layer_groups
+            ],
+        }
+
     def terms(k: int):
         nonlocal converged_at, tail, tail_steps
         if tail is not None:
             tail.scatter(("weights",), [lg.layer for lg in layer_groups])
         t = net.iteration
-        if prune_pass() and converged_at is None:
+        finished = prune_pass() and converged_at is None
+        if finished:
             converged_at = t
-            tail = _CompactTail(net, layer_groups)
-            tail_steps = cfg.max_iters - k
         inst: dict[int, np.ndarray] = {}
         for lg in layer_groups:
             inst[lg.layer] = ranks = rank_groups(lg.l1)
@@ -532,6 +537,15 @@ def run_pruning(
             else:
                 live &= lg.lam > 0
                 lg.lam[live] = np.maximum(lg.lam[live] - lg.schedule.speed, 0.0)
+        if finished:
+            try:
+                tail = _CompactTail(net, layer_groups)
+            except PlanError as e:
+                # the report ends with every layer's state at this step
+                _snapshot(snapshots, t, layer_groups, inst)
+                raise PruneCannotCompact(str(e), PruneReport(snapshots, summary()),
+                                         layer_groups) from e
+            tail_steps = cfg.max_iters - k
         snap = [lg for lg in due
                 if k % (lg.schedule.update_interval * report_stride) == 0]
         if snap:
@@ -551,22 +565,7 @@ def run_pruning(
     inst = {lg.layer: rank_groups(lg.l1) for lg in layer_groups}
     _snapshot(snapshots, net.iteration, layer_groups, inst)
 
-    summary = {
-        "converged_iteration": converged_at,
-        "prune_iters": cfg.max_iters,
-        "compacted_steps": tail_steps,
-        "layers": [
-            {
-                "layer": lg.layer,
-                "kind": lg.kind,
-                "n_groups": lg.n_groups,
-                "target": lg.target,
-                "pruned": lg.pruned_count,
-            }
-            for lg in layer_groups
-        ],
-    }
-    report = PruneReport(snapshots=snapshots, summary=summary)
+    report = PruneReport(snapshots=snapshots, summary=summary())
     if converged_at is None:
         missing = {
             lg.layer: (lg.pruned_count, lg.target)
@@ -580,6 +579,31 @@ def run_pruning(
 
     if eval_data is not None:
         acc, loss = evaluate(net, eval_data[0], eval_data[1])
-        summary["final_accuracy"] = acc
-        summary["final_loss"] = loss
+        report.summary["final_accuracy"] = acc
+        report.summary["final_loss"] = loss
     return net, report, layer_groups
+
+
+def retrain_network(net: NetworkState, layer_groups: list[LayerGroups], x: np.ndarray,
+                    y: np.ndarray, cfg: TrainConfig, seed: int, val=None,
+                    log_rows=None) -> NetworkState:
+    """Fine-tune a pruned net: ``cfg.max_iters`` steps of the SGD loop on its
+    compacted net, with no masks and no group factors.
+
+    The net is compacted with its momenta through :class:`compact.Compacted`,
+    and at the end every kept weight, bias and momentum is written back
+    into ``net``'s full-size arrays, where every pruned weight and every
+    weight that nothing reads is an exact zero: a filter retired upstream
+    by a channel group, and the next conv's columns and the fc inputs that
+    read a dead filter. Groups that prune nothing compact to the whole net,
+    so then this equals ``network.train_network`` bit for bit. Returns the
+    compacted net it trained. Raises PlanError before the first step if the
+    groups leave some conv no filter or no column to keep (see
+    ``compact.build_plan``); see :func:`network._sgd_loop` for the batch
+    stream, the lr schedule, the per-epoch log and the other errors.
+    """
+    small = Compacted(net, build_plan(net, layer_groups))
+    _sgd_loop(small.net, x, y, cfg, seed, "retrain",
+              lambda k: (small.net, None, None, None), val, log_rows)
+    small.scatter()
+    return small.net

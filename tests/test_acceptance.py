@@ -28,9 +28,9 @@ from increg.scheduler import (
     build_groups,
     delta_lambda,
     final_rank,
-    materialize_reg,
     prune_converged,
     refresh_l1,
+    retrain_network,
     run_pruning,
     target_count,
 )
@@ -83,9 +83,7 @@ def toy_run(ratio, seed=0, speed=0.05, interval=10, max_iters=8000,
     )
     if retrain:
         # exactly what `increg retrain` runs
-        _, masks, bias_masks = materialize_reg(net, lgs)
-        train_network(net, train[0], train[1], cfg.retrain, cfg.seed + 1,
-                      masks=masks, bias_masks=bias_masks)
+        retrain_network(net, lgs, train[0], train[1], cfg.retrain, cfg.seed + 1)
     acc, _ = evaluate(net, test[0], test[1])
     _TOY_CACHE[key] = (net, rep, lgs, acc)
     return _TOY_CACHE[key]

@@ -27,9 +27,10 @@ from increg.config import (
 from increg.data import load_dataset
 from increg.network import build_network, train_network
 from increg.scheduler import (
+    PruneSchedule,
     build_all_groups,
     groups_to_meta,
-    materialize_reg,
+    retrain_network,
     run_pruning,
 )
 
@@ -659,10 +660,13 @@ class TestCli:
         assert f"compacted steps: {tail} of {summary['prune_iters']}\n" in prune_out
 
         assert main(["retrain", "--config", cfg_path, "--out", out]) == 0
-        capsys.readouterr()
+        # each conv keeps 5 of its 10 columns; the fc loses nothing
+        kept = 10 * 5 + 8 * 5 + 4 * 8
+        assert (f"retrained on the compacted net: {kept} of {10 * 10 + 8 * 10 + 4 * 8} "
+                f"weights\n") in capsys.readouterr().out
         net, meta = load_checkpoint(os.path.join(out, "retrained.ckpt"))
         assert meta is not None
-        # the masks held through retraining: pruned columns are still zero
+        # retraining kept the pruned columns at zero
         for m in meta:
             w = net.weights[m["layer"]]
             flat = np.abs(w.reshape(w.shape[0], -1))
@@ -727,6 +731,33 @@ class TestCli:
         assert main(["prune", "--config", cfg_path, "--out", out]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kinds, pruned, says", [
+        (("column", "column"), ([], range(10)), "layer 2: every column pruned"),
+        # conv 2 keeps only the columns that read conv 0's pruned filters
+        (("row", "column"), (range(5), range(5, 10)),
+         "layer 0: no kept column of layer 2 reads a surviving filter"),
+    ], ids=["no-column", "disconnected"])
+    def test_retrain_of_a_net_that_keeps_nothing_is_exit_2(self, pipeline_cfg, capsys,
+                                                           kinds, pruned, says):
+        cfg_path, out = pipeline_cfg
+        net = build_network(FAST_PIPELINE["architecture"]["layers"], (10, 1, 1), seed=5)
+        groups = build_all_groups(net, [PruneSchedule(ratio=0.5, speed=0.5, kind=kind,
+                                                      layer=layer)
+                                        for layer, kind in zip((0, 2), kinds)])
+        for lg, ids in zip(groups, pruned):
+            lg.pruned[list(ids)] = True
+            np.putmask(net.weights[lg.layer],
+                       np.broadcast_to(lg.pruned.reshape(lg.layout), net.weights[lg.layer].shape),
+                       0)
+            if lg.kind == "row":
+                net.biases[lg.layer][lg.pruned] = 0
+        path = os.path.join(os.path.dirname(out), "pruned.ckpt")
+        save_checkpoint(path, net, scheduler=groups_to_meta(groups))
+        for verb, flag in (("retrain", "--checkpoint"), ("bench", "--pruned")):
+            assert main([verb, "--config", cfg_path, "--out", out, flag, path]) == 2
+            assert says in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_retrain_needs_scheduler_state(self, pipeline_cfg, capsys):
         cfg_path, out = pipeline_cfg
         assert main(["train", "--config", cfg_path, "--out", out]) == 0
@@ -779,9 +810,7 @@ class TestCli:
         train_network(net, *train, cfg.train, cfg.seed)
         net, _, groups = run_pruning(net, *train, cfg.prune_train, cfg.schedules,
                                      seed=cfg.seed)
-        _, masks, bias_masks = materialize_reg(net, groups)
-        train_network(net, *train, cfg.retrain, cfg.seed + 1,
-                      masks=masks, bias_masks=bias_masks)
+        retrain_network(net, groups, *train, cfg.retrain, cfg.seed + 1)
         assert net.iteration == cli_net.iteration
         for i in net.parametric_indices:
             assert np.array_equal(net.weights[i], cli_net.weights[i])

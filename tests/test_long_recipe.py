@@ -29,7 +29,7 @@ from increg.compact import build_plan, compact, flops_totals
 from increg.config import parse_config
 from increg.data import load_dataset
 from increg.network import build_network, evaluate, train_network
-from increg.scheduler import materialize_reg, run_pruning
+from increg.scheduler import retrain_network, run_pruning
 
 RUN_LONG = os.environ.get("INCREG_RUN_LONG") == "1"
 CIFAR_DIR = os.environ.get("INCREG_CIFAR10_DIR", "")
@@ -84,9 +84,7 @@ def test_half_flops_keeps_accuracy():
         net, train[0], train[1], cfg.prune_train, cfg.schedules,
         seed=cfg.seed, report_stride=cfg.report_stride,
     )
-    _, masks, bias_masks = materialize_reg(net, lgs)
-    train_network(net, train[0], train[1], cfg.retrain, cfg.seed + 1,
-                  masks=masks, bias_masks=bias_masks)
+    retrain_network(net, lgs, train[0], train[1], cfg.retrain, cfg.seed + 1)
     conv_ratio = flops_totals(net, compact(net, build_plan(net, lgs)))["conv_ratio"]
     pruned_acc, _ = evaluate(net, test[0], test[1])
     print(f"converged at iteration {rep.summary['converged_iteration']}, "

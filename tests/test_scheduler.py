@@ -1,6 +1,10 @@
 """Rank-driven factor scheduling: independent oracles for every moving part."""
 
+import contextlib
 import copy
+import functools
+import importlib
+import json
 from unittest import mock
 
 import numpy as np
@@ -43,9 +47,13 @@ from increg.scheduler import (
     prune_converged,
     rank_groups,
     refresh_l1,
+    retrain_network,
     run_pruning,
     target_count,
 )
+
+# the package exports the function compact under the module's name
+compact_mod = importlib.import_module("increg.compact")
 
 BLOB_DEFS = [
     {"kind": "conv", "filters": 10, "kernel": 1},
@@ -87,17 +95,18 @@ def prune_ids(net, lg, idxs):
     assert sorted(prune_converged(net, lg).tolist()) == sorted(idxs)
 
 
-def drive(net, schedules, weight_seq, report_stride=1):
-    """run_pruning with each SGD step replaced by the next given weights.
+@contextlib.contextmanager
+def stepping(net, weight_seq):
+    """Replace each SGD step of a prune of ``net`` with the next given weights.
 
     Step k writes weight_seq[k] (layer -> full-size array) into the entries
-    the step's net keeps: on the full-size net, those each layer's
-    keep-mask keeps, and once every layer is finished, on the compacted
-    net, which must come without masks, those :func:`kept_oracle` keeps,
-    in its row-major order. Pruned and unread entries hold what the
-    scheduler left, and biases and momentum are left alone. The loss is 0,
-    so no batch runs. Returns the report, the layer groups and each step's
-    factor vectors, as the step received them.
+    the step's net keeps: on the full-size net, which comes with masks,
+    those each layer's keep-mask keeps, and once every layer is finished,
+    on the compacted net, which must come without masks, those
+    :func:`kept_oracle` keeps, in its row-major order. Pruned and unread
+    entries hold what the scheduler left, and biases and momentum are left
+    alone. The loss is 0, so no batch runs. Yields the list that collects
+    each step's factor vectors, as the step received them.
     """
     factors = []
     steps = iter(weight_seq)
@@ -111,11 +120,11 @@ def drive(net, schedules, weight_seq, report_stride=1):
     def step(step_net, dw, db, cfg, lr=None, reg=None, masks=None, bias_masks=None):
         factors.append({i: r.ravel().copy() for i, r in reg.items()})
         nxt = next(steps)
-        if step_net is net:
+        if masks is not None:
             for i, w in nxt.items():
-                np.copyto(net.weights[i], w, where=np.broadcast_to(masks[i], w.shape))
+                np.copyto(step_net.weights[i], w, where=np.broadcast_to(masks[i], w.shape))
         else:
-            assert masks is None and bias_masks is None
+            assert bias_masks is None
             if not kept:        # the pruned flags are final once the tail starts
                 kept.update(kept_oracle(net, {lg.layer: (lg.kind, lg.pruned.copy())
                                               for lg in built[0]}))
@@ -124,11 +133,18 @@ def drive(net, schedules, weight_seq, report_stride=1):
         step_net.iteration += 1
         return step_net
 
-    cfg = TrainConfig(max_iters=len(weight_seq), batch_size=2)
-    x = np.zeros((2, *net.input_shape), dtype=np.float32)
     with mock.patch.object(network, "loss_and_grads", lambda *a: (0.0, None, None)), \
             mock.patch.object(network, "sgd_step", step), \
             mock.patch.object(scheduler, "build_all_groups", capture):
+        yield factors
+
+
+def drive(net, schedules, weight_seq, report_stride=1):
+    """run_pruning under :func:`stepping`. Returns the report, the layer
+    groups and each step's factor vectors."""
+    cfg = TrainConfig(max_iters=len(weight_seq), batch_size=2)
+    x = np.zeros((2, *net.input_shape), dtype=np.float32)
+    with stepping(net, weight_seq) as factors:
         try:
             _, report, lgs = run_pruning(net, x, np.zeros(2, dtype=np.intp), cfg,
                                          schedules, seed=0,
@@ -829,7 +845,7 @@ class TestRunPruning:
             made.append(compact(*args))
             return made[-1]
 
-        with mock.patch.object(scheduler, "compact", compact_spy):
+        with mock.patch.object(compact_mod, "compact", compact_spy):
             net, report, lgs = run_pruning(blob_net(), x, y, cfg, schedules, seed=11,
                                            eval_data=(x, y))
         assert len(made) == 1
@@ -849,7 +865,7 @@ class TestRunPruning:
     def test_non_convergence_never_compacts(self):
         net = blob_net()
         shapes = [None if w is None else w.shape for w in net.weights]
-        with mock.patch.object(scheduler, "compact") as never, \
+        with mock.patch.object(compact_mod, "compact") as never, \
                 pytest.raises(PruneDidNotConverge) as e:
             run_pruning(net, *blob_data(), TrainConfig(base_lr=0.05, weight_decay=0.0,
                                                        batch_size=32, max_iters=30),
@@ -867,9 +883,7 @@ class TestRunPruning:
                                   batch_size=32, max_iters=60)
         net, _, lgs = self.run()
         x, y = blob_data()
-        _, masks, bias_masks = materialize_reg(net, lgs)
-        train_network(net, x, y, retrain_cfg, 12,
-                      masks=masks, bias_masks=bias_masks)
+        retrain_network(net, lgs, x, y, retrain_cfg, 12)
         acc, _ = evaluate(net, x, y)
         assert acc >= 0.9
         for lg in lgs:
@@ -918,6 +932,69 @@ def masked_tail(net, lgs, x, y, cfg, seed, start):
                  bias_masks=bias_masks)
 
 
+# (kind, ratio) of the toy net's conv 0 and conv 3
+TOY_SCHEDULES = {
+    "column": [("column", 0.5), ("column", 0.5)],
+    "row": [("row", 0.5), ("row", 0.5)],
+    # channel groups of conv 3 retire conv 0's filters that feed them
+    "channel": [("column", 0.0), ("channel", 0.5)],
+}
+
+
+def toy_blobs():
+    return make_blobs(256, 4, shape=(1, 8, 8), noise=0.5, seed=5)
+
+
+@functools.lru_cache(maxsize=None)
+def toy_prune(case, iters):
+    """The toy net, trained for 100 steps and then pruned for ``iters``
+    steps under ``TOY_SCHEDULES[case]``; returns the net, the summary, the
+    groups and the prune's TrainConfig. Cached: copy before changing them."""
+    x, y = toy_blobs()
+    net = build_network(PRESETS["toy"], (1, 8, 8), seed=3)
+    train_network(net, x, y, TrainConfig(base_lr=0.05, batch_size=32, max_iters=100), 1)
+    schedules = [PruneSchedule(ratio=r, speed=0.2, epsilon=1e-3, update_interval=1,
+                               kind=kind, layer=layer)
+                 for layer, (kind, r) in zip((0, 3), TOY_SCHEDULES[case])]
+    cfg = TrainConfig(base_lr=0.05, batch_size=32, max_iters=iters)
+    _, report, lgs = run_pruning(net, x, y, cfg, schedules, seed=2)
+    return net, report.summary, lgs, cfg
+
+
+def toy_cut_prune(case):
+    """A copy of the toy prune cut at its first finished step (its first
+    ``prune_iters - compacted_steps`` steps), so it ran no compacted tail,
+    and the full prune's summary."""
+    summary = toy_prune(case, 600)[1]
+    assert summary["compacted_steps"] >= 100
+    cut = copy.deepcopy(toy_prune(case, 600 - summary["compacted_steps"]))
+    assert cut[1]["compacted_steps"] == 0
+    assert cut[1]["converged_iteration"] == summary["converged_iteration"]
+    return cut, summary
+
+
+def assert_matches_masked(got, want, lgs, tol):
+    """``got`` agrees with ``want``, the masked run it replaces, within tol
+    of their scale: logits, and the kept weights, momenta and biases of
+    :func:`kept_oracle`; every entry it does not keep is an exact zero in
+    ``got``. Returns the kept entries."""
+    x = toy_blobs()[0][:64]
+    a, b = forward(got, x)[0], forward(want, x)[0]
+    assert np.abs(a - b).max() <= tol * np.abs(b).max()
+    kept = kept_oracle(got, {lg.layer: (lg.kind, lg.pruned) for lg in lgs})
+    for i, (keep, live) in kept.items():
+        for name, mask in (("weights", keep), ("vel_w", keep), ("biases", live),
+                           ("vel_b", live)):
+            mine, ref = getattr(got, name)[i], getattr(want, name)[i]
+            assert np.abs(mine[mask] - ref[mask]).max() <= tol * np.abs(ref).max()
+            # pruned and unread entries are exact zeros after a compacted run
+            assert not mine[~mask].any()
+    for lg in lgs:
+        for net in (got, want):
+            assert not group_l1(net.weights[lg.layer], lg.kind)[lg.pruned].any()
+    return kept
+
+
 class TestCompactedTail:
     """The compacted tail against the masked tail it replaces, on the toy net.
 
@@ -928,57 +1005,81 @@ class TestCompactedTail:
     """
 
     TOL = 1e-4
-    SCHEDULES = {                       # (kind, ratio) of conv 0 and conv 3
-        "column": [("column", 0.5), ("column", 0.5)],
-        "row": [("row", 0.5), ("row", 0.5)],
-        # channel groups of conv 3 retire conv 0's filters that feed them
-        "channel": [("column", 0.0), ("channel", 0.5)],
-    }
 
-    @pytest.mark.parametrize("case", list(SCHEDULES))
+    @pytest.mark.parametrize("case", list(TOY_SCHEDULES))
     def test_matches_the_masked_tail(self, case):
-        x, y = make_blobs(256, 4, shape=(1, 8, 8), noise=0.5, seed=5)
-        base = build_network(PRESETS["toy"], (1, 8, 8), seed=3)
-        train_network(base, x, y, TrainConfig(base_lr=0.05, batch_size=32, max_iters=100), 1)
-        schedules = [PruneSchedule(ratio=r, speed=0.2, epsilon=1e-3, update_interval=1,
-                                   kind=kind, layer=layer)
-                     for layer, (kind, r) in zip((0, 3), self.SCHEDULES[case])]
-
-        def prune(iters):
-            net = copy.deepcopy(base)
-            cfg = TrainConfig(base_lr=0.05, batch_size=32, max_iters=iters)
-            _, report, lgs = run_pruning(net, x, y, cfg, schedules, seed=2)
-            return net, report.summary, lgs, cfg
-
-        got, summary, lgs, cfg = prune(600)
+        x, y = toy_blobs()
+        got, summary, lgs, cfg = toy_prune(case, 600)
         tail = summary["compacted_steps"]
-        assert tail >= 100
         # the same prune cut at its first finished step, then the masked tail
-        want, head, want_lgs, _ = prune(600 - tail)
-        assert head["compacted_steps"] == 0
-        assert head["converged_iteration"] == summary["converged_iteration"]
+        (want, _, want_lgs, _), _ = toy_cut_prune(case)
         masked_tail(want, want_lgs, x, y, cfg, 2, 600 - tail)
         assert got.iteration == want.iteration == 700
 
         for lg, ref in zip(lgs, want_lgs):
             assert np.array_equal(lg.pruned, ref.pruned)
             assert np.array_equal(lg.lam, ref.lam)
-        a, b = forward(got, x[:64])[0], forward(want, x[:64])[0]
-        assert np.abs(a - b).max() <= self.TOL * np.abs(b).max()
-        kept = kept_oracle(got, {lg.layer: (lg.kind, lg.pruned) for lg in lgs})
-        for i, (keep, live) in kept.items():
-            for name, mask in (("weights", keep), ("vel_w", keep), ("biases", live),
-                               ("vel_b", live)):
-                mine, ref = getattr(got, name)[i], getattr(want, name)[i]
-                assert np.abs(mine[mask] - ref[mask]).max() <= self.TOL * np.abs(ref).max()
-                # pruned and unread entries are exact zeros after the compacted tail
-                assert not mine[~mask].any()
-        for lg in lgs:
-            for net in (got, want):
-                assert not group_l1(net.weights[lg.layer], lg.kind)[lg.pruned].any()
+        kept = assert_matches_masked(got, want, lgs, self.TOL)
         if case != "column":
             # the masked tail decays the unread weights; the compacted one zeroes them
             assert any(want.weights[i][~keep].any() for i, (keep, _) in kept.items())
+
+
+class TestCompactedRetrain:
+    """retrain_network against the masked retrain it replaces, on the toy net.
+
+    The reference drives the SGD loop with the keep-masks of
+    materialize_reg. Each starts from the toy prune cut at its first
+    finished step: that checkpoint ran no compacted tail, so the weights
+    that nothing reads are still nonzero in it. The two agree to TOL
+    relative to their scale, not bitwise, for the reasons
+    :class:`TestCompactedTail` gives.
+    """
+
+    TOL = 1e-4
+    CFG = TrainConfig(base_lr=0.01, batch_size=32, max_iters=150, lr_schedule="step",
+                      step_every=100)
+
+    @pytest.mark.parametrize("case", list(TOY_SCHEDULES))
+    def test_matches_the_masked_retrain(self, case):
+        x, y = toy_blobs()
+        (got, _, lgs, _), summary = toy_cut_prune(case)
+        want = copy.deepcopy(got)
+        small = retrain_network(got, lgs, x, y, self.CFG, 4)
+        _, masks, bias_masks = materialize_reg(want, lgs)
+        network._sgd_loop(want, x, y, self.CFG, 4, "retrain",
+                          lambda k: (want, None, masks, bias_masks))
+        assert got.iteration == want.iteration == small.iteration == \
+            summary["converged_iteration"] + 150
+
+        kept = assert_matches_masked(got, want, lgs, self.TOL)
+        # the compacted net holds exactly the kept weights
+        assert [w.size for w in small.weights if w is not None] == \
+            [int(keep.sum()) for keep, _ in kept.values()]
+        if case != "column":
+            # the masked retrain decays the unread weights; the compacted one zeroes them
+            assert any(want.weights[i][~keep].any() for i, (keep, _) in kept.items())
+
+    def test_zero_ratio_retrains_as_plain_training_bitwise(self):
+        # every filter and column is kept, so the compacted net is the whole
+        # net, and masks of all ones change nothing either
+        x, y = blob_data()
+        cfg = TrainConfig(base_lr=0.05, weight_decay=0.004, batch_size=32, max_iters=120)
+        net, _, lgs = run_pruning(blob_net(seed=21), x, y, cfg,
+                                  [PruneSchedule(ratio=0.0, speed=0.1)], seed=33)
+        plain, masked = copy.deepcopy(net), copy.deepcopy(net)
+        retrain_network(net, lgs, x, y, self.CFG, 34)
+        train_network(plain, x, y, self.CFG, 34)
+        _, masks, bias_masks = materialize_reg(masked, lgs)
+        network._sgd_loop(masked, x, y, self.CFG, 34, "retrain",
+                          lambda k: (masked, None, masks, bias_masks))
+        for ref in (plain, masked):
+            assert net.iteration == ref.iteration == 270
+            for i in net.parametric_indices:
+                for name in ("weights", "biases", "vel_w", "vel_b"):
+                    got, want = getattr(net, name)[i], getattr(ref, name)[i]
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class RefGroup:
@@ -1191,3 +1292,81 @@ class TestPerGroupReference:
                              (net.biases[i], b[i]), (net.vel_b[i], vb[i])):
                 assert np.array_equal(got.ravel(), ref)
                 assert np.array_equal(np.signbit(got.ravel()), np.signbit(ref))
+
+
+def disconnecting_prune():
+    """A prune of the reference net, row groups in conv 0 and column groups
+    in conv 2, each to half, whose weights (seed 2, 7 steps) leave conv 2
+    only the columns that read conv 0's pruned filters 1 and 2 once both
+    layers finish at step 6. Returns the net, its schedules and the steps'
+    weights for :func:`stepping`."""
+    rng = np.random.default_rng(2)
+    net = build_network(REF_DEFS, (3, 3, 3), seed=0)
+    for i in (0, 2):
+        shape = net.weights[i].shape
+        net.weights[i][:] = eighths(rng, shape, 1.0)
+        net.vel_w[i][:] = eighths(rng, shape, 1.0)
+        net.biases[i][:] = eighths(rng, shape[0], 1.0)
+        net.vel_b[i][:] = eighths(rng, shape[0], 1.0)
+    seq = [{i: eighths(rng, net.weights[i].shape, rng.uniform()) for i in (0, 2)}
+           for _ in range(7)]
+    schedules = [PruneSchedule(ratio=0.5, speed=0.5, epsilon=0.3, update_interval=1,
+                               kind=kind, layer=i)
+                 for i, kind in ((0, "row"), (2, "column"))]
+    return net, schedules, seq
+
+
+class TestDisconnectingPrune:
+    """Every layer reaches its target, but conv 2 keeps no column that reads
+    a surviving filter of conv 0: the prune stops there with its report."""
+
+    SAYS = "layer 0: no kept column of layer 2 reads a surviving filter"
+
+    def test_raises_with_the_partial_report(self):
+        net, schedules, seq = disconnecting_prune()
+        with pytest.raises(scheduler.PruneCannotCompact, match=self.SAYS) as e:
+            drive(net, schedules, seq)
+        assert isinstance(e.value, PlanError)
+        rows, lgs = e.value.report.snapshots, e.value.groups
+        assert lgs[0].pruned.tolist() == [False, True, True, False]
+        assert lgs[1].pruned.tolist() == [True, False, False, True]
+        assert e.value.report.summary["converged_iteration"] == 6
+        assert e.value.report.summary["compacted_steps"] == 0
+        assert [lay["pruned"] for lay in e.value.report.summary["layers"]] == [2, 2]
+        # one snapshot per layer and step, the last with every layer's final flags
+        assert [(s.step, s.layer) for s in rows] == [(k, l) for k in range(7) for l in (0, 2)]
+        for snap, lg in zip(rows[-2:], lgs):
+            assert np.array_equal(snap.pruned, lg.pruned)
+
+    def test_cli_exits_2_and_writes_the_partial_report(self, tmp_path, capsys):
+        import yaml
+
+        from increg.checkpoint import save_checkpoint
+        from increg.cli import main
+
+        net, schedules, seq = disconnecting_prune()
+        baseline = str(tmp_path / "baseline.ckpt")
+        save_checkpoint(baseline, net)
+        cfg = {
+            "dataset": {"classes": 2, "shape": [3, 3, 3], "n_train": 32, "n_val": 0,
+                        "n_test": 2},
+            "architecture": {"preset": None, "layers": REF_DEFS},
+            "prune": {"ratio": 0.5, "kind": "row", "speed": 0.5, "epsilon": 0.3,
+                      "update_interval": 1, "max_iters": 7,
+                      "per_layer": [{"layer": 2, "ratio": 0.5, "kind": "column"}]},
+        }
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "run"
+        with stepping(net, seq):
+            code = main(["prune", "--config", str(cfg_path), "--out", str(out),
+                         "--checkpoint", baseline])
+        assert code == 2
+        assert self.SAYS in capsys.readouterr().err
+        summary = json.loads((out / "prune_summary.json").read_text())
+        assert summary["converged_iteration"] == 6
+        assert summary["compacted_steps"] == 0
+        assert [lay["kind"] for lay in summary["layers"]] == ["row", "column"]
+        rows = (out / "prune_report.csv").read_text().splitlines()
+        assert len(rows) == 1 + 7 * (4 + 4)
+        assert not (out / "pruned.ckpt").exists()
