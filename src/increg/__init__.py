@@ -11,7 +11,7 @@ The names below are the pipeline the ``increg`` commands run (see README's
 """
 
 from .checkpoint import CheckpointError
-from .compact import PlanError, build_plan, compact, count_gflops
+from .compact import PlanError, build_plan, count_gflops
 from .config import ConfigError, parse_config
 from .data import DatasetError, load_dataset
 from .network import TrainingDiverged, build_network, evaluate, train_network
@@ -34,7 +34,6 @@ __all__ = [
     "TrainingDiverged",
     "build_network",
     "build_plan",
-    "compact",
     "count_gflops",
     "evaluate",
     "load_dataset",

@@ -50,10 +50,9 @@ class ConvPlan:
 def check_pruned_zero(net: NetworkState, lg: LayerGroups, error: type[ValueError]) -> None:
     """Raise ``error`` if a group flagged pruned still holds a nonzero weight."""
     w = net.weights[lg.layer]
-    hit = np.broadcast_to(lg.pruned.reshape(lg.layout), w.shape) & (w != 0)
-    # a group spans every axis where its layout is 1; fold those to one flag
-    spans = tuple(ax for ax, n in enumerate(lg.layout) if n == 1)
-    live = np.flatnonzero(hit.any(axis=spans))
+    # axis 1 of this view numbers the groups, as in scheduler._zero_groups
+    grouped = w.reshape(1 if lg.kind == "row" else len(w), lg.n_groups, -1)
+    live = np.flatnonzero(lg.pruned & grouped.any(axis=(0, 2)))
     if live.size:
         raise error(f"layer {lg.layer} group {live[0]} is pruned but has nonzero weights")
 

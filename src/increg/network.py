@@ -443,8 +443,6 @@ def sgd_step(
     cfg: TrainConfig,
     lr: float | None = None,
     reg: dict | None = None,
-    masks: dict | None = None,
-    bias_masks: dict | None = None,
 ) -> NetworkState:
     """One in-place momentum-SGD step.
 
@@ -452,12 +450,10 @@ def sgd_step(
     coefficient array (broadcastable to the weight shape, all entries >= 0);
     the effective gradient on a kernel weight is then
     ``dL/dw + (weight_decay + extra) * w``. Biases only ever see the base
-    weight decay. ``masks``/``bias_masks`` mark kept entries; everything
-    outside a mask is forced to exactly zero (weights, momentum, gradients).
+    weight decay. Every entry steps: ``scheduler.run_pruning``, not this
+    step, holds the pruned groups at zero.
     """
     reg = reg or {}
-    masks = masks or {}
-    bias_masks = bias_masks or {}
     lr_v = np.asarray(cfg.base_lr if lr is None else lr, dtype=net.dtype)
     mu = np.asarray(cfg.momentum, dtype=net.dtype)
     wd = np.asarray(cfg.weight_decay, dtype=net.dtype)
@@ -476,28 +472,16 @@ def sgd_step(
             # one rounding of the float64 sum keeps uniform-factor runs
             # bitwise equal to a plain run at the combined decay
             coef = (float(cfg.weight_decay) + extra).astype(net.dtype)
-        m = masks.get(i)
-        if m is not None:
-            g = g * m
         g_eff = g + coef * w
         v *= mu
         v += g_eff
         w -= lr_v * v
-        if m is not None:
-            w *= m
-            v *= m
         b, vb, gb = net.biases[i], net.vel_b[i], dbiases[i]
         if gb is None or gb.shape != b.shape:
             raise ShapeError(f"layer {i}: bias gradient missing or wrong shape")
-        bm = bias_masks.get(i)
-        if bm is not None:
-            gb = gb * bm
         vb *= mu
         vb += gb + wd * b
         b -= lr_v * vb
-        if bm is not None:
-            b *= bm
-            vb *= bm
     net.iteration += 1
     return net
 
@@ -534,9 +518,9 @@ def _sgd_loop(net, x, y, cfg, seed, phase, terms, val=None, log_rows=None):
 
     Draws batches from a fresh stream seeded ``seed`` and steps the lr
     schedule from the phase's own step 0, whatever ``net.iteration`` is.
-    Before step k, ``terms(k)`` returns ``(step_net, reg, masks,
-    bias_masks)``: the net that step k trains (``net``, or a compacted
-    net) and the terms of its :func:`sgd_step`. Logs one row per
+    Before step k, ``terms(k)`` returns ``(step_net, reg)``: the net that
+    step k trains (``net``, or a compacted net) and the extra decay factors
+    of its :func:`sgd_step`, or None. Logs one row per
     epoch when a sink is given. Raises TrainingDiverged, naming ``phase``,
     at the first non-finite loss, and DatasetError before the first step if
     a label is not one of the net's classes.
@@ -546,12 +530,12 @@ def _sgd_loop(net, x, y, cfg, seed, phase, terms, val=None, log_rows=None):
     per_epoch = max(len(x) // cfg.batch_size, 1)
     loss_acc = 0.0
     for k in range(cfg.max_iters):
-        step_net, reg, masks, bias_masks = terms(k)
+        step_net, reg = terms(k)
         xb, yb = next(stream)
         loss, dw, db = loss_and_grads(step_net, xb, yb)
         check_loss(step_net, loss, xb, phase)
         lr = lr_at(cfg, k)
-        sgd_step(step_net, dw, db, cfg, lr=lr, reg=reg, masks=masks, bias_masks=bias_masks)
+        sgd_step(step_net, dw, db, cfg, lr=lr, reg=reg)
         loss_acc += loss
         if log_rows is not None and (k + 1) % per_epoch == 0:
             row = {
@@ -577,4 +561,4 @@ def train_network(net, x, y, cfg, seed, val=None, log_rows=None):
     a pruned net.
     """
     return _sgd_loop(net, x, y, cfg, seed, "train",
-                     lambda k: (net, None, None, None), val, log_rows)
+                     lambda k: (net, None), val, log_rows)

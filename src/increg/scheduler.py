@@ -7,7 +7,8 @@ group's regularization factor moves by a piecewise-linear amount of its
 running-average rank: low-ranked (unimportant) groups are pushed toward
 zero, high-ranked ones get relief. Groups whose L1-norm falls below a
 threshold are pruned permanently, until every layer holds exactly its
-target count; the rest of the phase then trains the compacted network, and
+target count: the scheduler writes zeros into every pruned group before
+each step. The rest of the phase then trains the compacted network, and
 so does the retrain that follows (:func:`retrain_network`).
 A layer's whole state is a few per-group vectors
 (:class:`LayerGroups`); :func:`group_layout` and :func:`group_l1` define
@@ -262,9 +263,9 @@ def prune_converged(net: NetworkState, lg: LayerGroups,
     """Prune unpruned groups whose cached L1-norm fell below epsilon.
 
     ``max_new`` caps how many are pruned this call (smallest norms first,
-    ties by index) so a layer never overshoots its target count. Pruned
-    weights and momentum, and a pruned row's bias, are set to exact zero;
-    returns the new indices in pruning order.
+    ties by index) so a layer never overshoots its target count. The new
+    groups are zeroed by :func:`_zero_groups`; returns their indices in
+    pruning order.
     """
     below = np.flatnonzero(~lg.pruned & (lg.l1 < lg.schedule.epsilon))
     if below.size == 0:
@@ -274,36 +275,22 @@ def prune_converged(net: NetworkState, lg: LayerGroups,
         below = below[: max(max_new, 0)]
     lg.pruned[below] = True
     lg.l1[below] = 0.0
-    drop = np.zeros(lg.n_groups, dtype=bool)
-    drop[below] = True
-    w = net.weights[lg.layer]
-    drop = np.broadcast_to(drop.reshape(lg.layout), w.shape)
-    np.putmask(w, drop, 0)
-    np.putmask(net.vel_w[lg.layer], drop, 0)
-    # a pruned filter's bias must die too, or its output plane stays biased
-    if lg.kind == "row":
-        net.biases[lg.layer][below] = 0
-        net.vel_b[lg.layer][below] = 0
+    _zero_groups(net, lg, below)
     return below
 
 
-def materialize_reg(net: NetworkState, layer_groups: list[LayerGroups]):
-    """Per-layer factor arrays and keep-masks shaped to broadcast over weights.
-
-    Returns (reg, masks, bias_masks) dicts keyed by layer index, consumable
-    by the SGD step, each array in its layer's :func:`group_layout`; row
-    layers also get a per-filter bias mask.
-    """
-    reg: dict[int, np.ndarray] = {}
-    masks: dict[int, np.ndarray] = {}
-    bias_masks: dict[int, np.ndarray] = {}
-    for lg in layer_groups:
-        keep = ~lg.pruned
-        reg[lg.layer] = lg.lam.reshape(lg.layout).copy()
-        masks[lg.layer] = keep.reshape(lg.layout)
-        if lg.kind == "row":
-            bias_masks[lg.layer] = keep
-    return reg, masks, bias_masks
+def _zero_groups(net: NetworkState, lg: LayerGroups, idx: np.ndarray) -> None:
+    """Write +0 into groups ``idx`` of a layer: their weights and weight
+    momenta, and for row groups their filters' biases and bias momenta (or a
+    pruned filter's output plane would stay biased)."""
+    row = lg.kind == "row"
+    for a in (net.weights[lg.layer], net.vel_w[lg.layer]):
+        # axis 1 numbers the groups (see group_layout); a net's arrays are
+        # C-contiguous, so the reshape is a view
+        a.reshape(1 if row else len(a), lg.n_groups, -1)[:, idx] = 0
+    if row:
+        net.biases[lg.layer][idx] = 0
+        net.vel_b[lg.layer][idx] = 0
 
 
 _META_KEYS = ("layer", "kind", "target", "ratio", "speed", "epsilon",
@@ -444,20 +431,24 @@ def run_pruning(
     """Train for cfg.max_iters while driving per-group factors.
 
     The steps are those of the SGD loop that train and retrain run, with
-    the lr counted from this phase's step 0. Before every step: refresh
-    norms, prune converged groups (capped at each layer's remaining
-    target), record instantaneous ranks. At each layer's update interval,
-    move factors by the rank law; once a layer hits its target its
-    surviving factors are stepped back to zero. The step then applies the
-    factors and keep-masks of :func:`materialize_reg`. The factor machinery
-    going quiet does not stop training: all cfg.max_iters iterations run,
-    so a zero-ratio schedule reproduces ``network.train_network`` bitwise.
+    the lr counted from this phase's step 0. Before every step: write zeros
+    into every pruned group (its weights and momenta, and a row's bias),
+    which the previous step moved; refresh norms; prune converged groups
+    (capped at each layer's remaining target); record instantaneous ranks.
+    After the last step the zeroing, refresh and prune run once more.
+    At each layer's update interval, move factors by the rank law; once a
+    layer hits its target its surviving factors are stepped back to zero.
+    The step then applies the factors, each in its layer's
+    :func:`group_layout`, to every entry. The factor machinery going quiet
+    does not stop training: all cfg.max_iters iterations run, so a
+    zero-ratio schedule reproduces ``network.train_network`` bitwise.
 
     From the first step at which every layer is finished, the remaining
     steps (the summary's ``compacted_steps``) train the compacted net of
-    ``compact.compact`` with no masks and with each layer's factors cut to
-    its kept filters or columns; the scheduler still reads every group's
-    norm over the full-size weights. At the end the kept weights, biases
+    ``compact.compact``, with each layer's factors cut to its kept filters
+    or columns; the scheduler still reads every group's norm over the
+    full-size weights, but zeroes no group again, since those steps never
+    touch a full-size pruned entry. At the end the kept weights, biases
     and momenta are written back into ``net``'s full-size arrays, where
     every weight that nothing reads and no group prunes is an exact zero:
     a filter retired upstream by a channel group, and the next conv's
@@ -491,6 +482,8 @@ def run_pruning(
 
     def prune_pass() -> bool:
         for lg in layer_groups:
+            if tail is None:    # the tail never touches a full-size pruned entry
+                _zero_groups(net, lg, np.flatnonzero(lg.pruned))
             refresh_l1(net, lg)
             if not lg.finished:
                 prune_converged(net, lg, max_new=lg.target - lg.pruned_count)
@@ -551,8 +544,9 @@ def run_pruning(
         if snap:
             _snapshot(snapshots, t, snap, inst)
         if tail is not None:
-            return tail.net, tail.reg(), None, None
-        return (net, *materialize_reg(net, layer_groups))
+            return tail.net, tail.reg()
+        # views, not copies: the step reads them before the factors move again
+        return net, {lg.layer: lg.lam.reshape(lg.layout) for lg in layer_groups}
 
     _sgd_loop(net, x, y, cfg, net.rng_seed if seed is None else seed, "prune",
               terms, val=eval_data)
@@ -588,7 +582,7 @@ def retrain_network(net: NetworkState, layer_groups: list[LayerGroups], x: np.nd
                     y: np.ndarray, cfg: TrainConfig, seed: int, val=None,
                     log_rows=None) -> NetworkState:
     """Fine-tune a pruned net: ``cfg.max_iters`` steps of the SGD loop on its
-    compacted net, with no masks and no group factors.
+    compacted net, with no group factors.
 
     The net is compacted with its momenta through :class:`compact.Compacted`,
     and at the end every kept weight, bias and momentum is written back
@@ -604,6 +598,6 @@ def retrain_network(net: NetworkState, layer_groups: list[LayerGroups], x: np.nd
     """
     small = Compacted(net, build_plan(net, layer_groups))
     _sgd_loop(small.net, x, y, cfg, seed, "retrain",
-              lambda k: (small.net, None, None, None), val, log_rows)
+              lambda k: (small.net, None), val, log_rows)
     small.scatter()
     return small.net

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import increg.compact as compact_mod
 from increg.compact import (
     CompactNetwork,
     PlanError,
@@ -412,11 +413,6 @@ class TestBench:
             assert row["flops_pruned"] == pruned.get(row["layer"], 0)
 
     def test_timed_forwards_alternate(self, monkeypatch):
-        import importlib
-
-        # the package re-exports the function compact(), which shadows the
-        # module name as an attribute
-        compact_mod = importlib.import_module("increg.compact")
         net, cnet = self.make()
         calls = []
         real = compact_mod._timed_forward

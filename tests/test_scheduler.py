@@ -3,7 +3,6 @@
 import contextlib
 import copy
 import functools
-import importlib
 import json
 from unittest import mock
 
@@ -12,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import increg.compact as compact_mod
 import increg.network as network
 import increg.scheduler as scheduler
 
 from helpers import report_rows
-from increg.compact import PlanError, build_plan, compact
+from increg.compact import CompactNetwork, PlanError, build_plan, check_pruned_zero, compact
 from increg.config import PRESETS
 from increg.data import batch_iter, make_blobs
 from increg.network import (
@@ -41,9 +41,9 @@ from increg.scheduler import (
     delta_lambda,
     final_rank,
     group_l1,
+    group_layout,
     groups_from_meta,
     groups_to_meta,
-    materialize_reg,
     prune_converged,
     rank_groups,
     refresh_l1,
@@ -51,9 +51,6 @@ from increg.scheduler import (
     run_pruning,
     target_count,
 )
-
-# the package exports the function compact under the module's name
-compact_mod = importlib.import_module("increg.compact")
 
 BLOB_DEFS = [
     {"kind": "conv", "filters": 10, "kernel": 1},
@@ -87,6 +84,17 @@ def group_mask(lg, idxs, shape):
     return np.broadcast_to(hit.reshape(lg.layout), shape)
 
 
+def assert_pruned_zero(net, lg):
+    """Every entry of lg's pruned groups is +0: weights and momenta, and a
+    pruned row's bias and bias momentum."""
+    at = group_mask(lg, np.flatnonzero(lg.pruned), net.weights[lg.layer].shape)
+    arrays = [net.weights[lg.layer][at], net.vel_w[lg.layer][at]]
+    if lg.kind == "row":
+        arrays += [net.biases[lg.layer][lg.pruned], net.vel_b[lg.layer][lg.pruned]]
+    for a in arrays:
+        assert not a.any() and not np.signbit(a).any()
+
+
 def prune_ids(net, lg, idxs):
     """Zero the chosen groups' weights and prune them through the scanner."""
     w = net.weights[lg.layer]
@@ -99,14 +107,13 @@ def prune_ids(net, lg, idxs):
 def stepping(net, weight_seq):
     """Replace each SGD step of a prune of ``net`` with the next given weights.
 
-    Step k writes weight_seq[k] (layer -> full-size array) into the entries
-    the step's net keeps: on the full-size net, which comes with masks,
-    those each layer's keep-mask keeps, and once every layer is finished,
-    on the compacted net, which must come without masks, those
-    :func:`kept_oracle` keeps, in its row-major order. Pruned and unread
-    entries hold what the scheduler left, and biases and momentum are left
-    alone. The loss is 0, so no batch runs. Yields the list that collects
-    each step's factor vectors, as the step received them.
+    Step k writes weight_seq[k] (layer -> full-size array) into the step's
+    net: into every entry of the full-size net, pruned groups included,
+    and once every layer is finished, into the entries of the compacted
+    net, those :func:`kept_oracle` keeps, in its row-major order. Biases
+    and momentum are left alone. The loss is 0, so no batch runs. Yields
+    the list that collects each step's factor arrays, as the step
+    received them.
     """
     factors = []
     steps = iter(weight_seq)
@@ -117,14 +124,13 @@ def stepping(net, weight_seq):
         built.append(build_all_groups(*args))
         return built[-1]
 
-    def step(step_net, dw, db, cfg, lr=None, reg=None, masks=None, bias_masks=None):
-        factors.append({i: r.ravel().copy() for i, r in reg.items()})
+    def step(step_net, dw, db, cfg, lr=None, reg=None):
+        factors.append({i: r.copy() for i, r in reg.items()})
         nxt = next(steps)
-        if masks is not None:
+        if not isinstance(step_net, CompactNetwork):
             for i, w in nxt.items():
-                np.copyto(step_net.weights[i], w, where=np.broadcast_to(masks[i], w.shape))
+                step_net.weights[i][...] = w
         else:
-            assert bias_masks is None
             if not kept:        # the pruned flags are final once the tail starts
                 kept.update(kept_oracle(net, {lg.layer: (lg.kind, lg.pruned.copy())
                                               for lg in built[0]}))
@@ -352,7 +358,7 @@ class TestUpdateLambda:
         net.weights[0][:] = seq[0][0]
         sch = PruneSchedule(ratio=ratio, speed=0.25, layer=0, update_interval=1)
         _, lgs, factors = drive(net, [sch], seq[1:] + seq[-1:])
-        return lgs[0], np.array([f[0] for f in factors])
+        return lgs[0], np.array([f[0].ravel() for f in factors])
 
     def test_accumulates(self):
         _, lam = self.run([[1, 2, 3, 4]] * 4)
@@ -576,64 +582,36 @@ class TestPruneScan:
         assert net.biases[0][2] == 0.0 and net.vel_b[0][2] == 0.0
 
 
-class TestMaterialize:
-    def build(self, kind):
-        net = blob_net(seed=4)
-        sch = PruneSchedule(ratio=0.2, speed=1.0, kind=kind)
-        lgs = build_all_groups(net, [sch])
-        return net, lgs
+class TestStepFactors:
+    """The factors a prune step on the full-size net receives: each layer's
+    factor vector in its group layout, which spreads group g's factor over
+    exactly group g's weights."""
 
-    def test_column_shapes_and_values(self):
-        net, lgs = self.build("column")
-        for lg in lgs:
-            lg.lam[3] = 2.5
-        reg, masks, bias_masks = materialize_reg(net, lgs)
-        for lg in lgs:
-            n, c, kh, kw = net.weights[lg.layer].shape
-            assert reg[lg.layer].shape == (1, c, kh, kw)
-            assert reg[lg.layer].ravel()[3] == 2.5
-            assert masks[lg.layer].all()
-        assert bias_masks == {}
+    LAYOUTS = {"column": (1, 3, 2, 2), "row": (4, 1, 1, 1), "channel": (1, 3, 1, 1)}
 
-    def test_row_shapes_and_bias_mask(self):
-        net, lgs = self.build("row")
-        lg = lgs[0]
-        lg.lam[1] = 0.9
-        prune_ids(net, lg, [5])
-        reg, masks, bias_masks = materialize_reg(net, lgs)
-        n = net.weights[0].shape[0]
-        assert reg[0].shape == (n, 1, 1, 1)
-        assert reg[0].ravel()[1] == 0.9
-        assert not masks[0].ravel()[5] and masks[0].ravel().sum() == n - 1
-        assert not bias_masks[0][5] and bias_masks[0].sum() == n - 1
-
-    def test_channel_factors_repeat_over_kernel_positions(self):
+    @pytest.mark.parametrize("kind", GROUP_KINDS)
+    def test_factors_take_the_group_layout(self, kind):
+        layout = self.LAYOUTS[kind]
         defs = [
             {"kind": "conv", "filters": 4, "kernel": 2},
             {"kind": "fc", "out_features": 2},
             {"kind": "softmax-xent"},
         ]
         net = build_network(defs, (3, 4, 4), seed=0)
-        lg = build_groups(net, PruneSchedule(ratio=0.3, speed=1.0, kind="channel"), 0)
-        lg.lam[1] = 1.25
-        reg, masks, _ = materialize_reg(net, [lg])
-        assert reg[0].shape == (1, 3, 1, 1)
-        reg = np.broadcast_to(reg[0], net.weights[0].shape)
-        assert np.all(reg[:, 1] == 1.25) and reg[:, 0].max() == 0.0
-        prune_ids(net, lg, [2])
-        _, masks, _ = materialize_reg(net, [lg])
-        assert not masks[0][0, 2].any() and masks[0][0, :2].all()
-
-    def test_masked_step_pins_pruned_weights(self):
-        net, lgs = self.build("column")
-        x, y = blob_data()
-        prune_ids(net, lgs[0], [0])
-        reg, masks, bias_masks = materialize_reg(net, lgs)
-        for _ in range(5):
-            _, dw, db = loss_and_grads(net, x[:32], y[:32])
-            sgd_step(net, dw, db, TrainConfig(), reg=reg, masks=masks,
-                     bias_masks=bias_masks)
-        assert np.all(net.weights[0].reshape(10, 10)[:, 0] == 0.0)
+        shape = net.weights[0].shape
+        rng = np.random.default_rng(1)
+        # no group's norm gets near epsilon, so every step runs on the full net
+        seq = [{0: rng.uniform(0.5, 1.0, shape).astype(np.float32)} for _ in range(3)]
+        sch = PruneSchedule(ratio=0.3, speed=1.0, update_interval=1, kind=kind, layer=0)
+        _, lgs, factors = drive(net, [sch], seq)
+        assert group_layout(kind, shape) == layout
+        members = members_oracle(shape, kind)
+        for f in factors:
+            assert f[0].shape == layout
+            spread = np.broadcast_to(f[0], shape).ravel()
+            for g, m in enumerate(members):
+                assert np.all(spread[m] == f[0].ravel()[g])
+        assert factors[-1][0].max() > 0.0 and lgs[0].pruned_count == 0
 
 
 class TestMetaRoundTrip:
@@ -721,8 +699,8 @@ class TestRunPruning:
         x, y = blob_data()
         cfg = TrainConfig(base_lr=0.05, weight_decay=0.0, batch_size=32,
                           max_iters=kw.pop("max_iters", 1200))
-        sch = PruneSchedule(ratio=kw.pop("ratio", 0.5), speed=0.5,
-                            update_interval=2)
+        sch = PruneSchedule(ratio=kw.pop("ratio", 0.5), speed=kw.pop("speed", 0.5),
+                            update_interval=2, kind=kw.pop("kind", "column"))
         return run_pruning(net, x, y, cfg, [sch], seed=11,
                            eval_data=(x, y), **kw)
 
@@ -832,6 +810,47 @@ class TestRunPruning:
         assert e.value.report.summary["converged_iteration"] is None
         assert any(not lg.finished for lg in e.value.groups)
 
+    # at speed 0.5 the row prune diverges before it finishes
+    @pytest.mark.parametrize("kind,speed", [("column", 0.5), ("row", 0.2)])
+    def test_pruned_groups_are_zero_before_every_step(self, kind, speed):
+        # the step moves every entry, so the scheduler zeroes the pruned
+        # groups of the full-size net before each step
+        built, pruned = [], []
+
+        def capture(*args):
+            built.append(build_all_groups(*args))
+            return built[-1]
+
+        def checked(step_net, xb, yb):
+            if not isinstance(step_net, CompactNetwork):
+                for lg in built[0]:
+                    assert_pruned_zero(step_net, lg)
+                pruned.append(sum(lg.pruned_count for lg in built[0]))
+            return loss_and_grads(step_net, xb, yb)
+
+        with mock.patch.object(scheduler, "build_all_groups", capture), \
+                mock.patch.object(network, "loss_and_grads", checked):
+            _, report, _ = self.run(kind=kind, speed=speed)
+        # some full-size steps ran with pruned groups, and a tail followed
+        assert max(pruned) > 0 and report.summary["compacted_steps"] > 0
+
+    @pytest.mark.parametrize("kind", ["column", "row"])
+    def test_missed_target_leaves_pruned_groups_at_plus_zero(self, kind):
+        # no tail: every step ran on the full-size net, and the pass after
+        # the last one zeroes what it moved
+        net = blob_net()
+        with pytest.raises(PruneDidNotConverge) as e:
+            run_pruning(net, *blob_data(), TrainConfig(base_lr=0.05, weight_decay=0.0,
+                                                       batch_size=32, max_iters=300),
+                        [PruneSchedule(ratio=0.5, speed=0.5, update_interval=2, kind=kind)],
+                        seed=11)
+        assert e.value.report.summary["compacted_steps"] == 0
+        lgs = e.value.groups
+        assert all(0 < lg.pruned_count < lg.target for lg in lgs)
+        for lg in lgs:
+            assert_pruned_zero(net, lg)
+            check_pruned_zero(net, lg, AssertionError)
+
     def test_mixed_per_layer_prune_compacts_one_conv_whole(self):
         # layer 0 at ratio 0 keeps every column, so its compacted conv reads
         # every lowered row; layer 2 loses half its columns and reads its kept ones
@@ -912,11 +931,17 @@ class TestRunPruning:
             self.run(report_stride=0)
 
 
+def zero_pruned(net, lgs):
+    """Zero every pruned group, as run_pruning does before each full-size step."""
+    for lg in lgs:
+        scheduler._zero_groups(net, lg, np.flatnonzero(lg.pruned))
+
+
 def masked_tail(net, lgs, x, y, cfg, seed, start):
     """Steps start.. of a prune whose layers are all finished, as the
-    full-size masked net ran them before the tail was compacted: the batch
-    stream and the lr resume at step start, due factors step down, and
-    the keep-masks pin the pruned weights at zero."""
+    full-size net ran them before the tail was compacted: the batch stream
+    and the lr resume at step start, due factors step down, and the pruned
+    groups are zeroed before each step and after the last."""
     stream = batch_iter(x, y, cfg.batch_size, seed)
     for _ in range(start):
         next(stream)
@@ -925,11 +950,24 @@ def masked_tail(net, lgs, x, y, cfg, seed, start):
             if k % lg.schedule.update_interval == 0:
                 live = ~lg.pruned & (lg.lam > 0)
                 lg.lam[live] = np.maximum(lg.lam[live] - lg.schedule.speed, 0.0)
-        reg, masks, bias_masks = materialize_reg(net, lgs)
+        zero_pruned(net, lgs)
         xb, yb = next(stream)
         _, dw, db = loss_and_grads(net, xb, yb)
-        sgd_step(net, dw, db, cfg, lr=lr_at(cfg, k), reg=reg, masks=masks,
-                 bias_masks=bias_masks)
+        sgd_step(net, dw, db, cfg, lr=lr_at(cfg, k),
+                 reg={lg.layer: lg.lam.reshape(lg.layout) for lg in lgs})
+    zero_pruned(net, lgs)
+
+
+def masked_retrain(net, lgs, x, y, cfg, seed):
+    """The SGD loop on the full-size net with no factors, the pruned groups
+    zeroed before each step and after the last."""
+
+    def terms(k):
+        zero_pruned(net, lgs)
+        return net, None
+
+    network._sgd_loop(net, x, y, cfg, seed, "retrain", terms)
+    zero_pruned(net, lgs)
 
 
 # (kind, ratio) of the toy net's conv 0 and conv 3
@@ -1028,8 +1066,8 @@ class TestCompactedTail:
 class TestCompactedRetrain:
     """retrain_network against the masked retrain it replaces, on the toy net.
 
-    The reference drives the SGD loop with the keep-masks of
-    materialize_reg. Each starts from the toy prune cut at its first
+    The reference drives the SGD loop on the full-size net, zeroing the
+    pruned groups as the prune does (:func:`masked_retrain`). Each starts from the toy prune cut at its first
     finished step: that checkpoint ran no compacted tail, so the weights
     that nothing reads are still nonzero in it. The two agree to TOL
     relative to their scale, not bitwise, for the reasons
@@ -1046,9 +1084,7 @@ class TestCompactedRetrain:
         (got, _, lgs, _), summary = toy_cut_prune(case)
         want = copy.deepcopy(got)
         small = retrain_network(got, lgs, x, y, self.CFG, 4)
-        _, masks, bias_masks = materialize_reg(want, lgs)
-        network._sgd_loop(want, x, y, self.CFG, 4, "retrain",
-                          lambda k: (want, None, masks, bias_masks))
+        masked_retrain(want, lgs, x, y, self.CFG, 4)
         assert got.iteration == want.iteration == small.iteration == \
             summary["converged_iteration"] + 150
 
@@ -1062,7 +1098,7 @@ class TestCompactedRetrain:
 
     def test_zero_ratio_retrains_as_plain_training_bitwise(self):
         # every filter and column is kept, so the compacted net is the whole
-        # net, and masks of all ones change nothing either
+        # net, and zeroing no group changes nothing either
         x, y = blob_data()
         cfg = TrainConfig(base_lr=0.05, weight_decay=0.004, batch_size=32, max_iters=120)
         net, _, lgs = run_pruning(blob_net(seed=21), x, y, cfg,
@@ -1070,9 +1106,7 @@ class TestCompactedRetrain:
         plain, masked = copy.deepcopy(net), copy.deepcopy(net)
         retrain_network(net, lgs, x, y, self.CFG, 34)
         train_network(plain, x, y, self.CFG, 34)
-        _, masks, bias_masks = materialize_reg(masked, lgs)
-        network._sgd_loop(masked, x, y, self.CFG, 34, "retrain",
-                          lambda k: (masked, None, masks, bias_masks))
+        masked_retrain(masked, lgs, x, y, self.CFG, 34)
         for ref in (plain, masked):
             assert net.iteration == ref.iteration == 270
             for i in net.parametric_indices:
@@ -1280,7 +1314,7 @@ class TestPerGroupReference:
         assert len(got_factors) == len(factors) == iters
         for got, ref in zip(got_factors, factors):
             for layer, lam in ref.items():
-                assert got[layer].tolist() == lam
+                assert got[layer].ravel().tolist() == lam
         for lg, (sch, groups, target) in zip(lgs, ref_layers):
             assert lg.target == target
             assert lg.lam.tolist() == [g.lam for g in groups]
