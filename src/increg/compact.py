@@ -215,7 +215,8 @@ class Compacted:
     group, and the next conv's columns and the fc inputs that read a dead
     filter) hold zeros from then on; :meth:`scatter` writes the trained
     entries back through :func:`kept_index`. The prune's tail and the
-    retrain both train through it.
+    retrain both train it with no group factors and write it back once, at
+    their end.
     """
 
     def __init__(self, full: NetworkState, plan: dict[int, ConvPlan]):
@@ -228,11 +229,11 @@ class Compacted:
                     a.fill(0)
         self.scatter()
 
-    def scatter(self, names=_PARAMS, layers=None) -> None:
+    def scatter(self) -> None:
         """Write the compacted net's kept entries into the full-size arrays."""
-        for name in names:
+        for name in _PARAMS:
             which = name in ("biases", "vel_b")
-            for i in self.full.parametric_indices if layers is None else layers:
+            for i in self.full.parametric_indices:
                 # reshape(-1) is a view: every array of a net is C-contiguous
                 full = getattr(self.full, name)[i].reshape(-1)
                 full[self.index[i][which]] = getattr(self.net, name)[i].reshape(-1)

@@ -8,8 +8,10 @@ running-average rank: low-ranked (unimportant) groups are pushed toward
 zero, high-ranked ones get relief. Groups whose L1-norm falls below a
 threshold are pruned permanently, until every layer holds exactly its
 target count: the scheduler writes zeros into every pruned group before
-each step. The rest of the phase then trains the compacted network, and
-so does the retrain that follows (:func:`retrain_network`).
+each step. A finished layer steps its surviving factors back to zero; once
+every layer is finished and no surviving factor is positive, the rest of
+the phase is plain SGD on the compacted network, with no scheduler work,
+and so is the retrain that follows (:func:`retrain_network`).
 A layer's whole state is a few per-group vectors
 (:class:`LayerGroups`); :func:`group_layout` and :func:`group_l1` define
 where each group lies in the weight.
@@ -113,7 +115,8 @@ class LayerGroups:
 
     ``lam`` (the factors), ``rank_sum`` and ``l1`` (the norm cached by
     :func:`refresh_l1`, 0 once pruned) are float64 and ``pruned`` is bool.
-    Every group of a layer is ranked on every iteration, so one
+    Every group of a layer is ranked before every prune step up to the
+    hand-over to the compacted tail (see :func:`run_pruning`), so one
     ``rank_count`` serves them all.
     """
 
@@ -380,35 +383,6 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
     return out
 
 
-class _CompactTail(Compacted):
-    """The compacted net that trains a prune's steps after every layer is
-    finished, and each layer's factors cut to it.
-
-    Each tail step writes the kept conv weights back before the scheduler
-    reads its group norms from the full-size weights.
-    """
-
-    def __init__(self, full: NetworkState, layer_groups: list[LayerGroups]):
-        plan = build_plan(full, layer_groups)
-        super().__init__(full, plan)
-        # each layer's factors as the compacted weight's extra decay: one per
-        # kept filter for rows, one per kept lowered column for columns and
-        # channels (a channel's factor over its block of columns)
-        self.factors = []
-        for lg in layer_groups:
-            cp, w = plan[lg.layer], self.net.weights[lg.layer]
-            if lg.kind == "row":
-                self.factors.append((lg, cp.keep_rows, (-1,) + (1,) * (w.ndim - 1)))
-            else:
-                g = full.layers[lg.layer].geom
-                block = g.kernel_h * g.kernel_w
-                sel = cp.keep_cols if lg.kind == "column" else cp.keep_cols // block
-                self.factors.append((lg, sel, (1, *w.shape[1:])))
-
-    def reg(self) -> dict[int, np.ndarray]:
-        return {lg.layer: lg.lam[sel].reshape(shape) for lg, sel, shape in self.factors}
-
-
 def _snapshot(snapshots: list, step: int, layer_groups: list[LayerGroups],
               inst: dict[int, np.ndarray]) -> None:
     # l1, lam and pruned change in place on later steps, so they are copied
@@ -431,29 +405,31 @@ def run_pruning(
     """Train for cfg.max_iters while driving per-group factors.
 
     The steps are those of the SGD loop that train and retrain run, with
-    the lr counted from this phase's step 0. Before every step: write zeros
-    into every pruned group (its weights and momenta, and a row's bias),
-    which the previous step moved; refresh norms; prune converged groups
-    (capped at each layer's remaining target); record instantaneous ranks.
-    After the last step the zeroing, refresh and prune run once more.
-    At each layer's update interval, move factors by the rank law; once a
-    layer hits its target its surviving factors are stepped back to zero.
-    The step then applies the factors, each in its layer's
-    :func:`group_layout`, to every entry. The factor machinery going quiet
-    does not stop training: all cfg.max_iters iterations run, so a
-    zero-ratio schedule reproduces ``network.train_network`` bitwise.
+    the lr counted from this phase's step 0. Before every step up to the
+    hand-over (below): write zeros into every pruned group (its weights and
+    momenta, and a row's bias), which the previous step moved; refresh
+    norms; prune converged groups (capped at each layer's remaining
+    target); record instantaneous ranks. After the last step the zeroing,
+    refresh and prune run once more. At each layer's update interval, move
+    factors by the rank law; once a layer hits its target its surviving
+    factors are stepped back to zero. The step then applies the factors,
+    each in its layer's :func:`group_layout`, to every entry. The factor
+    machinery going quiet does not stop training: all cfg.max_iters
+    iterations run, so a zero-ratio schedule reproduces
+    ``network.train_network`` bitwise.
 
-    From the first step at which every layer is finished, the remaining
-    steps (the summary's ``compacted_steps``) train the compacted net of
-    ``compact.compact``, with each layer's factors cut to its kept filters
-    or columns; the scheduler still reads every group's norm over the
-    full-size weights, but zeroes no group again, since those steps never
-    touch a full-size pruned entry. At the end the kept weights, biases
-    and momenta are written back into ``net``'s full-size arrays, where
-    every weight that nothing reads and no group prunes is an exact zero:
-    a filter retired upstream by a channel group, and the next conv's
-    columns and the fc inputs that read a dead filter. A zero-ratio
-    schedule keeps every filter and column, so it still matches plain
+    The hand-over step is the first at which every layer is finished and,
+    after its factor update, no surviving factor is positive. It and the
+    remaining steps (the summary's ``compacted_steps``) are plain SGD on
+    the compacted net of ``compact.compact``, with no factors: the
+    scheduler ranks, updates and records nothing after the hand-over
+    step's pass, so ``rank_sum`` and ``rank_count`` cover the passes up to
+    and including it. At the end the kept weights, biases and momenta are
+    written back into ``net``'s full-size arrays, where every weight that
+    nothing reads and no group prunes is an exact zero: a filter retired
+    upstream by a channel group, and the next conv's columns and the fc
+    inputs that read a dead filter. A zero-ratio schedule hands over at
+    step 0 and keeps every filter and column, so it still matches plain
     training bit for bit. The summary's ``converged_iteration`` is the
     net's global iteration (earlier phases' steps included) at the first
     finished step, or after the last step if only that step finished it.
@@ -477,13 +453,13 @@ def run_pruning(
     layer_groups = build_all_groups(net, schedules)
     snapshots: list[Snapshot] = []
     converged_at: int | None = None
-    tail: _CompactTail | None = None
+    plan = None                         # set at the first finished step
+    tail: Compacted | None = None
     tail_steps = 0
 
     def prune_pass() -> bool:
         for lg in layer_groups:
-            if tail is None:    # the tail never touches a full-size pruned entry
-                _zero_groups(net, lg, np.flatnonzero(lg.pruned))
+            _zero_groups(net, lg, np.flatnonzero(lg.pruned))
             refresh_l1(net, lg)
             if not lg.finished:
                 prune_converged(net, lg, max_new=lg.target - lg.pruned_count)
@@ -507,9 +483,9 @@ def run_pruning(
         }
 
     def terms(k: int):
-        nonlocal converged_at, tail, tail_steps
+        nonlocal converged_at, plan, tail, tail_steps
         if tail is not None:
-            tail.scatter(("weights",), [lg.layer for lg in layer_groups])
+            return tail.net, None
         t = net.iteration
         finished = prune_pass() and converged_at is None
         if finished:
@@ -532,19 +508,22 @@ def run_pruning(
                 lg.lam[live] = np.maximum(lg.lam[live] - lg.schedule.speed, 0.0)
         if finished:
             try:
-                tail = _CompactTail(net, layer_groups)
+                plan = build_plan(net, layer_groups)
             except PlanError as e:
                 # the report ends with every layer's state at this step
                 _snapshot(snapshots, t, layer_groups, inst)
                 raise PruneCannotCompact(str(e), PruneReport(snapshots, summary()),
                                          layer_groups) from e
-            tail_steps = cfg.max_iters - k
         snap = [lg for lg in due
                 if k % (lg.schedule.update_interval * report_stride) == 0]
         if snap:
             _snapshot(snapshots, t, snap, inst)
-        if tail is not None:
-            return tail.net, tail.reg()
+        # the pruned flags are final once every layer is finished, so the plan holds
+        if plan is not None and not any((lg.lam[~lg.pruned] > 0).any()
+                                        for lg in layer_groups):
+            tail = Compacted(net, plan)
+            tail_steps = cfg.max_iters - k
+            return tail.net, None
         # views, not copies: the step reads them before the factors move again
         return net, {lg.layer: lg.lam.reshape(lg.layout) for lg in layer_groups}
 

@@ -11,10 +11,10 @@ data_batch_5.bin, test_batch.bin). The assertion is calibration-relative:
 the retrained half-FLOPs model must stay within 1 percentage point of this
 repository's own baseline, not of any published number.
 
-Recipe notes. The learning rate during the factor-driven phase is the
-training schedule evaluated at the global iteration, so the recipe keeps it
-fixed; a step schedule would decay toward zero mid-prune and freeze the
-shrinkage term along with everything else. On real data the loss gradient
+Recipe notes. The factor-driven phase takes the training lr schedule,
+counted from the prune phase's own step 0, so the recipe keeps it fixed; a
+step schedule would decay toward zero mid-prune and freeze the shrinkage
+term along with everything else. On real data the loss gradient
 never vanishes, so a column's norm plateaus near (members * grad) / factor
 instead of falling to zero; the threshold and growth speed are sized so the
 factor clears that plateau well inside the stability bound

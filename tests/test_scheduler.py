@@ -109,11 +109,11 @@ def stepping(net, weight_seq):
 
     Step k writes weight_seq[k] (layer -> full-size array) into the step's
     net: into every entry of the full-size net, pruned groups included,
-    and once every layer is finished, into the entries of the compacted
-    net, those :func:`kept_oracle` keeps, in its row-major order. Biases
-    and momentum are left alone. The loss is 0, so no batch runs. Yields
-    the list that collects each step's factor arrays, as the step
-    received them.
+    and from the hand-over to the compacted tail on, into the entries of
+    the compacted net, those :func:`kept_oracle` keeps, in its row-major
+    order. Biases and momentum are left alone. The loss is 0, so no batch
+    runs. Yields the list that collects each step's factor arrays, as the
+    step received them, or None for a step that received no factors.
     """
     factors = []
     steps = iter(weight_seq)
@@ -125,13 +125,13 @@ def stepping(net, weight_seq):
         return built[-1]
 
     def step(step_net, dw, db, cfg, lr=None, reg=None):
-        factors.append({i: r.copy() for i, r in reg.items()})
+        factors.append(None if reg is None else {i: r.copy() for i, r in reg.items()})
         nxt = next(steps)
         if not isinstance(step_net, CompactNetwork):
             for i, w in nxt.items():
                 step_net.weights[i][...] = w
         else:
-            if not kept:        # the pruned flags are final once the tail starts
+            if not kept:        # the pruned flags are final once every layer is finished
                 kept.update(kept_oracle(net, {lg.layer: (lg.kind, lg.pruned.copy())
                                               for lg in built[0]}))
             for i, w in nxt.items():
@@ -614,6 +614,55 @@ class TestStepFactors:
         assert factors[-1][0].max() > 0.0 and lgs[0].pruned_count == 0
 
 
+class TestHandOver:
+    """The prune hands over to the compacted tail only once every layer is
+    finished and no surviving factor is positive."""
+
+    def test_waits_for_positive_factors(self):
+        defs = [
+            {"kind": "conv", "filters": 4, "kernel": 2},
+            {"kind": "fc", "out_features": 2},
+            {"kind": "softmax-xent"},
+        ]
+        net = build_network(defs, (3, 4, 4), seed=0)
+        shape = net.weights[0].shape
+        # filter L1-norms 1.5, 3, 6 and 9 rank 0..3 on every step: filter 0
+        # gains 1 a step and filter 1 gains 0.5, until step 5 zeroes filters
+        # 0 and 2; the prune pass before step 6 prunes both, which finishes
+        # the layer with filter 1's factor at 3, and step-downs of 1 a step
+        # bring it to 0 at step 8
+        ranked = np.broadcast_to(np.array([1, 2, 4, 6], np.float32)[:, None, None, None] / 8,
+                                 shape)
+        cut = ranked * np.array([0, 1, 0, 1], np.float32)[:, None, None, None]
+        net.weights[0][...] = ranked
+        seq = [{0: (ranked if k < 5 else cut).copy()} for k in range(12)]
+        sch = PruneSchedule(ratio=0.5, speed=1.0, epsilon=0.5, update_interval=1,
+                            kind="row", layer=0)
+        made = []
+
+        def compact_spy(*args):
+            made.append((args[0].iteration, compact(*args)))
+            return made[-1][1]
+
+        with mock.patch.object(compact_mod, "compact", compact_spy):
+            report, lgs, factors = drive(net, [sch], seq)
+        summary, lg = report.summary, lgs[0]
+        assert summary["converged_iteration"] == 6
+        assert summary["compacted_steps"] == 12 - 8
+        assert lg.pruned.tolist() == [True, False, True, False]
+        # full-size factors before the hand-over, filter 1's stepping down
+        assert [f[0].shape for f in factors[:8]] == [(4, 1, 1, 1)] * 8
+        assert [float(f[0][1, 0, 0, 0]) for f in factors[5:8]] == [3.0, 2.0, 1.0]
+        # from it on, no factors, on the compacted net made before step 8
+        assert factors[8:] == [None] * 4
+        assert [(it, cnet.weights[0].shape) for it, cnet in made] == [(8, (2, 3, 2, 2))]
+        assert not net.weights[1].reshape(2, 4, -1)[:, lg.pruned].any()
+        # the scheduler ran before steps 0..8 and then only after the last
+        assert lg.rank_count == 9
+        assert sorted({s.step for s in report.snapshots}) == list(range(9)) + [12]
+        assert lg.lam.tolist() == [6.0, 0.0, 0.0, 0.0]
+
+
 class TestMetaRoundTrip:
     def test_state_survives(self):
         net = blob_net(seed=5)
@@ -938,23 +987,18 @@ def zero_pruned(net, lgs):
 
 
 def masked_tail(net, lgs, x, y, cfg, seed, start):
-    """Steps start.. of a prune whose layers are all finished, as the
-    full-size net ran them before the tail was compacted: the batch stream
-    and the lr resume at step start, due factors step down, and the pruned
-    groups are zeroed before each step and after the last."""
+    """Steps start.. of a prune handed over at step start, as the full-size
+    net would run them: the batch stream and the lr resume at step start,
+    the steps take no factors, and the pruned groups are zeroed before each
+    step and after the last."""
     stream = batch_iter(x, y, cfg.batch_size, seed)
     for _ in range(start):
         next(stream)
     for k in range(start, cfg.max_iters):
-        for lg in lgs:
-            if k % lg.schedule.update_interval == 0:
-                live = ~lg.pruned & (lg.lam > 0)
-                lg.lam[live] = np.maximum(lg.lam[live] - lg.schedule.speed, 0.0)
         zero_pruned(net, lgs)
         xb, yb = next(stream)
         _, dw, db = loss_and_grads(net, xb, yb)
-        sgd_step(net, dw, db, cfg, lr=lr_at(cfg, k),
-                 reg={lg.layer: lg.lam.reshape(lg.layout) for lg in lgs})
+        sgd_step(net, dw, db, cfg, lr=lr_at(cfg, k))
     zero_pruned(net, lgs)
 
 
@@ -1133,16 +1177,19 @@ def reference_run(net, schedules, weight_seq, report_stride):
     One object per group with its own flat member indices: norms summed
     member by member, ranks by sorting, the running average, the increment
     law, the zero clamp, frozen factors once pruned, the capped
-    smallest-first prune scan and the step-down of finished layers. From
-    the first step at which every layer is finished, the compacted tail:
-    every entry that :func:`kept_oracle` drops is zeroed (the weights that
-    nothing reads as well as the pruned ones), each step writes only the
-    kept entries, and a step receives the kept factors, one per live filter
-    for rows and one per kept lowered column for columns and channels.
-    Returns the report rows, the convergence iteration, each step's
-    factors, the final groups and the final weights, momentum and biases of
-    every parametric layer. Raises PlanError where the tail would start
-    with a conv that keeps no entry.
+    smallest-first prune scan and the step-down of finished layers. The
+    first step at which every layer is finished checks that each conv
+    keeps an entry. The hand-over step is the first at which, in addition,
+    no live group's factor is positive after its update; from it on, the
+    compacted tail: every entry that :func:`kept_oracle` drops is zeroed
+    (the weights that nothing reads as well as the pruned ones), each step
+    writes only the kept entries and receives no factors, and after the
+    hand-over step's own pass nothing is refreshed, ranked or recorded
+    until the pass after the last step. Returns the report rows, the
+    convergence iteration, the hand-over step, each step's factors, the
+    final groups and the final weights, momentum and biases of every
+    parametric layer. Raises PlanError at the first finished step if some
+    conv keeps no entry.
     """
     layers = []
     for sch in schedules:
@@ -1155,7 +1202,7 @@ def reference_run(net, schedules, weight_seq, report_stride):
     b = {i: net.biases[i].copy() for i in params}
     vb = {i: net.vel_b[i].copy() for i in params}
     rows, factors = [], []
-    kept = None                         # set when the tail starts
+    kept = handover = None              # set when the tail starts
 
     def prune_pass():
         done = True
@@ -1174,26 +1221,13 @@ def reference_run(net, schedules, weight_seq, report_stride):
             done = done and sum(g.pruned for g in groups) >= target
         return done
 
-    def compact():
+    def keeps():
         out = kept_oracle(net, {sch.layer: (sch.kind, np.array([g.pruned for g in groups]))
                                 for sch, groups, _ in layers})
-        for i, (keep, bias) in out.items():
+        for i, (keep, _) in out.items():
             if not keep.any():
                 raise PlanError(f"layer {i} keeps nothing")
-            w[i][~keep.ravel()] = vw[i][~keep.ravel()] = 0.0
-            b[i][~bias] = vb[i][~bias] = 0.0
         return out
-
-    def step_factors(sch, groups):
-        lam = [g.lam for g in groups]
-        if kept is None:
-            return lam
-        keep, live = kept[sch.layer]
-        if sch.kind == "row":
-            return [lam[f] for f in np.flatnonzero(live)]
-        block = keep.shape[2] * keep.shape[3]
-        cols = np.flatnonzero(keep.reshape(len(keep), -1).any(axis=0))
-        return [lam[c if sch.kind == "column" else c // block] for c in cols]
 
     def snapshot(step, snap, inst):
         for sch, groups, _ in snap:
@@ -1203,39 +1237,49 @@ def reference_run(net, schedules, weight_seq, report_stride):
 
     converged = None
     for k, nxt in enumerate(weight_seq):
-        if prune_pass() and converged is None:
-            converged = k
-            kept = compact()
-        inst = {}
-        for sch, groups, _ in layers:
-            inst[sch.layer] = rank_oracle([g.l1 for g in groups])
-            for g in groups:
-                g.rank_sum += inst[sch.layer][g.index]
-                g.rank_count += 1
-        due = [lay for lay in layers if k % lay[0].update_interval == 0]
-        for sch, groups, target in due:
-            n, speed = len(groups), sch.speed
-            s = sch.ratio * n
-            if sum(g.pruned for g in groups) < target:
-                final = rank_oracle([g.rank_sum / g.rank_count for g in groups])
+        if kept is None:
+            if prune_pass() and converged is None:
+                converged = k
+                keeps()
+            inst = {}
+            for sch, groups, _ in layers:
+                inst[sch.layer] = rank_oracle([g.l1 for g in groups])
                 for g in groups:
-                    if not g.pruned:
-                        r = final[g.index]
-                        d = speed * (1.0 - r / s) if r <= s else -speed * ((r - s) / ((n - 1) - s))
-                        g.lam = max(g.lam + d, 0.0)
-            else:
-                for g in groups:
-                    if not g.pruned and g.lam > 0:
-                        g.lam = max(g.lam - speed, 0.0)
-        snapshot(k, [lay for lay in due
-                     if k % (lay[0].update_interval * report_stride) == 0], inst)
-        factors.append({sch.layer: step_factors(sch, groups) for sch, groups, _ in layers})
-        for sch, groups, _ in layers:
-            if kept is None:
+                    g.rank_sum += inst[sch.layer][g.index]
+                    g.rank_count += 1
+            due = [lay for lay in layers if k % lay[0].update_interval == 0]
+            for sch, groups, target in due:
+                n, speed = len(groups), sch.speed
+                s = sch.ratio * n
+                if sum(g.pruned for g in groups) < target:
+                    final = rank_oracle([g.rank_sum / g.rank_count for g in groups])
+                    for g in groups:
+                        if not g.pruned:
+                            r = final[g.index]
+                            d = (speed * (1.0 - r / s) if r <= s
+                                 else -speed * ((r - s) / ((n - 1) - s)))
+                            g.lam = max(g.lam + d, 0.0)
+                else:
+                    for g in groups:
+                        if not g.pruned and g.lam > 0:
+                            g.lam = max(g.lam - speed, 0.0)
+            snapshot(k, [lay for lay in due
+                         if k % (lay[0].update_interval * report_stride) == 0], inst)
+            if converged is not None and not any(g.lam > 0 for _, groups, _ in layers
+                                                 for g in groups if not g.pruned):
+                handover, kept = k, keeps()
+                for i, (keep, bias) in kept.items():
+                    w[i][~keep.ravel()] = vw[i][~keep.ravel()] = 0.0
+                    b[i][~bias] = vb[i][~bias] = 0.0
+        if kept is None:
+            factors.append({sch.layer: [g.lam for g in groups] for sch, groups, _ in layers})
+            for sch, groups, _ in layers:
                 for g in groups:
                     if not g.pruned:
                         w[sch.layer][g.members] = nxt[sch.layer].ravel()[g.members]
-            else:
+        else:
+            factors.append(None)
+            for sch, _, _ in layers:
                 keep = kept[sch.layer][0].ravel()
                 w[sch.layer][keep] = nxt[sch.layer].ravel()[keep]
     end = len(weight_seq)
@@ -1243,7 +1287,7 @@ def reference_run(net, schedules, weight_seq, report_stride):
         converged = end
     snapshot(end, layers, {sch.layer: rank_oracle([g.l1 for g in groups])
                            for sch, groups, _ in layers})
-    return rows, converged, factors, layers, (w, vw, b, vb)
+    return rows, converged, handover, factors, layers, (w, vw, b, vb)
 
 
 REF_DEFS = [
@@ -1296,8 +1340,8 @@ class TestPerGroupReference:
             for i, kd, r, u in zip((0, 2), (kind, kind2), ratios, intervals)
         ]
         try:
-            rows, converged, factors, ref_layers, (w, vw, b, vb) = reference_run(
-                net, schedules, seq, stride)
+            rows, converged, handover, factors, ref_layers, (w, vw, b, vb) = \
+                reference_run(net, schedules, seq, stride)
         except PlanError:
             # every layer finished, but some conv has no filter or no column
             # left to keep: the compaction at that step refuses the net
@@ -1310,10 +1354,11 @@ class TestPerGroupReference:
         assert [tuple(map(repr, r)) for r in report_rows(report)] == \
             [tuple(map(repr, r)) for r in rows]
         assert report.summary["converged_iteration"] == converged
-        assert report.summary["compacted_steps"] == (0 if converged is None else iters - converged)
+        assert report.summary["compacted_steps"] == (0 if handover is None else iters - handover)
         assert len(got_factors) == len(factors) == iters
         for got, ref in zip(got_factors, factors):
-            for layer, lam in ref.items():
+            assert (got is None) == (ref is None)
+            for layer, lam in (ref or {}).items():
                 assert got[layer].ravel().tolist() == lam
         for lg, (sch, groups, target) in zip(lgs, ref_layers):
             assert lg.target == target
