@@ -48,11 +48,9 @@ class ConvPlan:
 
 
 def check_pruned_zero(net: NetworkState, lg: LayerGroups, error: type[ValueError]) -> None:
-    """Raise ``error`` if a group flagged pruned still holds a nonzero weight."""
-    w = net.weights[lg.layer]
-    # axis 1 of this view numbers the groups, as in scheduler._zero_groups
-    grouped = w.reshape(1 if lg.kind == "row" else len(w), lg.n_groups, -1)
-    live = np.flatnonzero(lg.pruned & grouped.any(axis=(0, 2)))
+    """Raise ``error`` if a group flagged pruned still holds a nonzero weight
+    (read through :meth:`scheduler.LayerGroups.grouped`)."""
+    live = np.flatnonzero(lg.pruned & lg.grouped(net.weights[lg.layer]).any(axis=(0, 2)))
     if live.size:
         raise error(f"layer {lg.layer} group {live[0]} is pruned but has nonzero weights")
 
@@ -63,10 +61,12 @@ def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> dict[int, 
     Each conv starts with every filter and lowered column kept. A pruned row
     clears its filter, a pruned column its column, and a pruned channel its
     block of columns plus, past the first conv, the filter upstream that
-    produces it. A dead filter then clears its channel's block in the next
-    conv. Raises PlanError where a conv keeps no filter or no column, or
-    where no kept column of a conv reads a surviving filter of the previous
-    one; that message names the previous conv.
+    produces it; a column or channel group clears its entries of one filter's
+    lowered columns, read through :meth:`scheduler.LayerGroups.grouped`. A
+    dead filter then clears its channel's block in the next conv. Raises
+    PlanError where a conv keeps no filter or no column, or where no kept
+    column of a conv reads a surviving filter of the previous one; that
+    message names the previous conv.
     """
     convs = net.conv_indices
     rows = {l: np.ones(net.layers[l].filters, dtype=bool) for l in convs}
@@ -82,8 +82,7 @@ def build_plan(net: NetworkState, layer_groups: list[LayerGroups]) -> dict[int, 
             rows[l] &= ~lg.pruned
             continue
         # column and channel groups both lie along the lowered columns
-        cols[l] &= ~np.broadcast_to(lg.pruned.reshape(lg.layout),
-                                    (1, *net.weights[l].shape[1:])).ravel()
+        lg.grouped(cols[l][None])[:, lg.pruned] = False
         if lg.kind == "channel" and l != convs[0]:
             rows[convs[convs.index(l) - 1]] &= ~lg.pruned
     plan = {}
@@ -284,11 +283,11 @@ def bench(
     """Median, IQR and mean wall time per forward pass for both networks.
 
     Each repeat prepares one batch with ``cnet.prepare_input``, untimed, and
-    times one masked and then one compacted forward of it, so drift in the
-    host's speed reaches both sides alike. Layer rows and the
-    ``flops`` totals carry each network's own FLOP counts. Times come from
-    a monotonic clock; the report records enough machine metadata to
-    interpret the (machine-dependent) ratios later.
+    times one forward of the full-size net and then one of the compacted
+    net, so drift in the host's speed reaches both sides alike. Layer rows
+    and the ``flops`` totals carry each network's own FLOP counts. Times
+    come from a monotonic clock; the report records enough machine metadata
+    to interpret the (machine-dependent) ratios later.
     """
     if batch < 1 or warmup < 0 or repeats < MIN_REPEATS:
         raise PlanError(f"bench needs batch >= 1, warmup >= 0 and repeats >= "
@@ -297,13 +296,13 @@ def bench(
     x = rng.standard_normal((batch, *net.input_shape)).astype(net.dtype)
     depth = len(net.layers)
 
-    def masked(i, x):
+    def full_size(i, x):
         return apply_layer(net, i, x)[0]
 
     base, pruned = [], []
     for k in range(warmup + repeats):
         xb = cnet.prepare_input(x)      # the one batch both sides run, untimed
-        b = _timed_forward(masked, xb, depth)
+        b = _timed_forward(full_size, xb, depth)
         p = _timed_forward(cnet.apply_layer, xb, depth)
         if k >= warmup:
             base.append(b)

@@ -12,15 +12,15 @@ each step. A finished layer steps its surviving factors back to zero; once
 every layer is finished and no surviving factor is positive, the rest of
 the phase is plain SGD on the compacted network, with no scheduler work,
 and so is the retrain that follows (:func:`retrain_network`).
-A layer's whole state is a few per-group vectors
-(:class:`LayerGroups`); :func:`group_layout` and :func:`group_l1` define
-where each group lies in the weight.
+A layer's whole state is its schedule and a few per-group vectors
+(:class:`LayerGroups`); :func:`group_layout` and :meth:`LayerGroups.grouped`
+define where each group lies in the weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -97,35 +97,24 @@ def group_layout(kind: str, shape: tuple[int, ...]) -> tuple[int, int, int, int]
     return (1, c, 1, 1)
 
 
-def group_l1(w: np.ndarray, kind: str) -> np.ndarray:
-    """Per-group L1-norms of a conv weight, in float32 and a fixed summation order."""
-    n, c = w.shape[:2]
-    flat = np.abs(w.reshape(n, -1))
-    if kind == "row":
-        return flat.sum(axis=1)
-    vec = flat.sum(axis=0)
-    if kind == "channel":
-        return vec.reshape(c, -1).sum(axis=1)
-    return vec
-
-
 @dataclass
 class LayerGroups:
-    """Scheduler state of one layer, one vector entry per group.
+    """Scheduler state of one layer: its schedule, its group layout and one
+    vector entry per group.
 
-    ``lam`` (the factors), ``rank_sum`` and ``l1`` (the norm cached by
+    ``layer`` and ``kind`` read the schedule, and ``target`` is the
+    schedule's ratio of the group count (:func:`target_count`). ``lam``
+    (the factors), ``rank_sum`` and ``l1`` (the norm cached by
     :func:`refresh_l1`, 0 once pruned) are float64 and ``pruned`` is bool.
     Every group of a layer is ranked before every prune step up to the
     hand-over to the compacted tail (see :func:`run_pruning`), so one
     ``rank_count`` serves them all.
     """
 
-    layer: int
-    kind: str
-    layout: tuple[int, int, int, int]
-    target: int
     schedule: PruneSchedule
+    layout: tuple[int, int, int, int]
     rank_count: int = 0
+    target: int = field(init=False)
     lam: np.ndarray = field(init=False)
     rank_sum: np.ndarray = field(init=False)
     l1: np.ndarray = field(init=False)
@@ -133,10 +122,19 @@ class LayerGroups:
 
     def __post_init__(self):
         n = math.prod(self.layout)
+        self.target = target_count(self.schedule.ratio, n)
         self.lam = np.zeros(n)
         self.rank_sum = np.zeros(n)
         self.l1 = np.zeros(n)
         self.pruned = np.zeros(n, dtype=bool)
+
+    @property
+    def layer(self) -> int:
+        return self.schedule.layer
+
+    @property
+    def kind(self) -> str:
+        return self.schedule.kind
 
     @property
     def n_groups(self) -> int:
@@ -156,29 +154,35 @@ class LayerGroups:
             raise ScheduleError(f"layer {self.layer}: groups were never ranked")
         return self.rank_sum / self.rank_count
 
+    def grouped(self, a: np.ndarray) -> np.ndarray:
+        """``a``, the layer's weight or one like it, as (filters per group,
+        group, entries per filter and group): axis 1 numbers the groups. A
+        view of a C-contiguous ``a``, so writes through it land in ``a``.
+        Column and channel groups span every filter, so a ``(1, C*kh*kw)``
+        row of lowered columns is grouped the same way."""
+        return a.reshape(len(a) // self.layout[0], self.n_groups, -1)
+
 
 def target_count(ratio: float, n_groups: int) -> int:
     """Round ratio * n_groups to the nearest integer, ties upward."""
     return int(math.floor(ratio * n_groups + 0.5))
 
 
-def build_groups(net: NetworkState, schedule: PruneSchedule, layer: int) -> LayerGroups:
-    """Cut one conv layer into groups under a schedule with a bound layer."""
+def build_groups(net: NetworkState, schedule: PruneSchedule) -> LayerGroups:
+    """Cut the conv layer that the schedule names (``schedule.layer``) into groups."""
+    layer = schedule.layer
     if not isinstance(layer, int) or not 0 <= layer < len(net.layers):
         raise ScheduleError(f"no layer {layer!r} in a {len(net.layers)}-layer network")
     spec = net.layers[layer]
     if spec.kind != "conv":
         raise ScheduleError(f"layer {layer} is {spec.kind!r}, only conv layers have groups")
-    layout = group_layout(schedule.kind, net.weights[layer].shape)
-    n_g = math.prod(layout)
-    target = target_count(schedule.ratio, n_g)
-    if target > 0 and (n_g - 1) - schedule.ratio * n_g <= 0:
+    lg = LayerGroups(schedule, group_layout(schedule.kind, net.weights[layer].shape))
+    if lg.target > 0 and (lg.n_groups - 1) - schedule.ratio * lg.n_groups <= 0:
         raise ScheduleError(
             f"layer {layer}: ratio {schedule.ratio} leaves fewer than 2 of "
-            f"{n_g} groups, rank mapping is degenerate"
+            f"{lg.n_groups} groups, rank mapping is degenerate"
         )
-    return LayerGroups(layer=layer, kind=schedule.kind, layout=layout,
-                       target=target, schedule=schedule)
+    return lg
 
 
 def build_all_groups(net: NetworkState, schedules: list[PruneSchedule]) -> list[LayerGroups]:
@@ -204,12 +208,14 @@ def build_all_groups(net: NetworkState, schedules: list[PruneSchedule]) -> list[
             if default is None:
                 raise ScheduleError(f"conv layer {i} has no schedule")
             bound[i] = replace(default, layer=i)
-    return [build_groups(net, bound[i], i) for i in sorted(bound)]
+    return [build_groups(net, bound[i]) for i in sorted(bound)]
 
 
 def refresh_l1(net: NetworkState, lg: LayerGroups) -> np.ndarray:
-    """Recompute and cache every group's current L1-norm; returns the float32 vector."""
-    vec = group_l1(net.weights[lg.layer], lg.kind)
+    """Recompute and cache every group's current L1-norm; returns the float32
+    vector. Each norm sums the group's entries in :meth:`LayerGroups.grouped`
+    over its filters first, then within each filter, in a fixed order."""
+    vec = np.abs(lg.grouped(net.weights[lg.layer])).sum(axis=0).sum(axis=1)
     lg.l1[:] = vec
     lg.l1[lg.pruned] = 0.0
     return vec
@@ -286,51 +292,39 @@ def _zero_groups(net: NetworkState, lg: LayerGroups, idx: np.ndarray) -> None:
     """Write +0 into groups ``idx`` of a layer: their weights and weight
     momenta, and for row groups their filters' biases and bias momenta (or a
     pruned filter's output plane would stay biased)."""
-    row = lg.kind == "row"
     for a in (net.weights[lg.layer], net.vel_w[lg.layer]):
-        # axis 1 numbers the groups (see group_layout); a net's arrays are
-        # C-contiguous, so the reshape is a view
-        a.reshape(1 if row else len(a), lg.n_groups, -1)[:, idx] = 0
-    if row:
+        lg.grouped(a)[:, idx] = 0       # a net's arrays are C-contiguous: a view
+    if lg.kind == "row":
         net.biases[lg.layer][idx] = 0
         net.vel_b[lg.layer][idx] = 0
 
 
-_META_KEYS = ("layer", "kind", "target", "ratio", "speed", "epsilon",
-              "update_interval", "lambda", "rank_sum", "rank_count", "pruned")
+_VECTORS = ("lambda", "rank_sum", "pruned")
+_META_KEYS = (*(f.name for f in fields(PruneSchedule)), "target", "rank_count", *_VECTORS)
 _META_NUMBERS = {"ratio": (int, float), "speed": (int, float), "epsilon": (int, float),
-                 "update_interval": (int,), "layer": (int,)}
+                 "update_interval": (int,), "layer": (int,), "target": (int,),
+                 "rank_count": (int,)}
 
 
 def groups_to_meta(layer_groups: list[LayerGroups]) -> list[dict]:
     """JSON-serializable scheduler state for checkpoints."""
-    out = []
-    for lg in layer_groups:
-        out.append({
-            "layer": lg.layer,
-            "kind": lg.kind,
-            "target": lg.target,
-            "ratio": lg.schedule.ratio,
-            "speed": lg.schedule.speed,
-            "epsilon": lg.schedule.epsilon,
-            "update_interval": lg.schedule.update_interval,
-            "lambda": lg.lam.tolist(),
-            "rank_sum": lg.rank_sum.tolist(),
-            "rank_count": [lg.rank_count] * lg.n_groups,
-            "pruned": lg.pruned.astype(int).tolist(),
-        })
-    return out
+    return [{**asdict(lg.schedule), "target": lg.target, "lambda": lg.lam.tolist(),
+             "rank_sum": lg.rank_sum.tolist(), "rank_count": lg.rank_count,
+             "pruned": lg.pruned.astype(int).tolist()}
+            for lg in layer_groups]
 
 
 def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
     """Rebuild scheduler state saved by :func:`groups_to_meta`.
 
-    Raises ScheduleError for a state that is not a list, a missing key, a
-    schedule value that is not a finite plain number (an int for
-    ``update_interval`` and ``layer``), a per-group list whose length is
-    not the layer's group count, a NaN or infinite factor or rank sum,
-    unequal rank counts, pruned flags other than 0 and 1, a pruned group
-    whose weights are not all zero, or unreadable values.
+    The schedule is rebuilt from its own fields. Raises ScheduleError for a
+    state that is not a list, a missing key, a number that is not a finite
+    plain number (an int for ``update_interval``, ``layer``, ``target`` and
+    ``rank_count``), a negative ``rank_count``, a ``target`` other than the
+    schedule's, a per-group list whose length is not the layer's group
+    count, a NaN, infinite or negative factor, a NaN or infinite rank sum,
+    pruned flags other than 0 and 1, a pruned group whose weights are not
+    all zero, or unreadable values.
     """
     if not isinstance(meta, list):
         raise ScheduleError(f"scheduler state must be a list of layers, got {meta!r}")
@@ -348,12 +342,12 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
                 raise ScheduleError(f"scheduler state {key!r} must be {what}, got {m[key]!r}")
             if not math.isfinite(m[key]):
                 raise ScheduleError(f"scheduler state {key!r} must be finite, got {m[key]!r}")
-        sch = PruneSchedule(
-            ratio=m["ratio"], speed=m["speed"], epsilon=m["epsilon"],
-            update_interval=m["update_interval"], kind=m["kind"], layer=m["layer"],
-        )
-        lg = build_groups(net, sch, m["layer"])
-        for key in ("lambda", "rank_sum", "rank_count", "pruned"):
+        if m["rank_count"] < 0:
+            raise ScheduleError(f"scheduler state 'rank_count' must be >= 0, "
+                                f"got {m['rank_count']}")
+        lg = build_groups(net, PruneSchedule(**{f.name: m[f.name]
+                                                for f in fields(PruneSchedule)}))
+        for key in _VECTORS:
             if not isinstance(m[key], list) or len(m[key]) != lg.n_groups:
                 raise ScheduleError(
                     f"layer {lg.layer}: saved {key!r} does not list its "
@@ -364,19 +358,22 @@ def groups_from_meta(net: NetworkState, meta: list[dict]) -> list[LayerGroups]:
         if any(f not in (0, 1) for f in m["pruned"]):
             raise ScheduleError(f"layer {lg.layer}: pruned flags must be 0 or 1")
         try:
-            if len(set(m["rank_count"])) != 1:
-                raise ScheduleError(f"layer {lg.layer}: groups saved with unequal rank counts")
             lg.lam[:] = m["lambda"]
             lg.rank_sum[:] = m["rank_sum"]
-            lg.rank_count = int(m["rank_count"][0])
             lg.pruned[:] = m["pruned"]
         except (TypeError, ValueError) as e:
             raise ScheduleError(f"layer {lg.layer}: unreadable scheduler state: {e}") from e
+        lg.rank_count = m["rank_count"]
         for key, vec in (("lambda", lg.lam), ("rank_sum", lg.rank_sum)):
             bad = np.flatnonzero(~np.isfinite(vec))
             if bad.size:
                 raise ScheduleError(f"layer {lg.layer}: saved {key!r} of group {bad[0]} "
                                     f"is {vec[bad[0]]}, not a finite number")
+        # as report.validate_report: a factor is never negative
+        bad = np.flatnonzero(lg.lam < 0)
+        if bad.size:
+            raise ScheduleError(f"layer {lg.layer}: saved 'lambda' of group {bad[0]} "
+                                f"is {lg.lam[bad[0]]}, a negative factor")
         check_pruned_zero(net, lg, ScheduleError)
         refresh_l1(net, lg)
         out.append(lg)
@@ -497,15 +494,12 @@ def run_pruning(
             lg.rank_count += 1
         due = [lg for lg in layer_groups if k % lg.schedule.update_interval == 0]
         for lg in due:
-            # factors move by the rank law, clamped at zero; pruned ones stay frozen
+            # live factors move by the rank law, or step down once the layer
+            # is finished, clamped at +0; pruned ones stay frozen
             live = ~lg.pruned
-            if not lg.finished:
-                delta = delta_lambda(final_rank(lg), lg.schedule.ratio,
-                                     lg.n_groups, lg.schedule.speed)
-                lg.lam[live] = np.maximum(lg.lam[live] + delta[live], 0.0)
-            else:
-                live &= lg.lam > 0
-                lg.lam[live] = np.maximum(lg.lam[live] - lg.schedule.speed, 0.0)
+            step = -lg.schedule.speed if lg.finished else delta_lambda(
+                final_rank(lg), lg.schedule.ratio, lg.n_groups, lg.schedule.speed)[live]
+            lg.lam[live] = np.maximum(lg.lam[live] + step, 0.0)
         if finished:
             try:
                 plan = build_plan(net, layer_groups)

@@ -302,7 +302,7 @@ def test_criterion_5_flops_and_wall_time(capsys):
         # a 25% cut in one layer costs exactly 1/(1-p) of its baseline
         net = build_network(cfg.arch_defs, (3, 32, 32), seed=0)
         first = net.conv_indices[0]
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0), first)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, layer=first))
         prune_fraction(net, lg)
         kept = count_gflops(compact(net, build_plan(net, [lg])))
         assert count_gflops(net)[first] / kept[first] == 1.0 / (1.0 - 0.25)

@@ -120,7 +120,7 @@ class TestCorruption:
     def test_rejects_compacted_network(self, tmp_path):
         # its layer list cannot carry a conv's kept rows, so it would not load
         net = trained_net()
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, epsilon=1e9, layer=0), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, epsilon=1e9, layer=0))
         refresh_l1(net, lg)
         prune_converged(net, lg, max_new=lg.target)
         small = compact(net, build_plan(net, [lg]))

@@ -96,20 +96,20 @@ class TestPlan:
 
     def test_pruned_group_with_live_weights_rejected(self):
         net = chain_net()
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, layer=0))
         lg.pruned[2] = True   # flag without zeroing the weights
         with pytest.raises(PlanError):
             build_plan(net, [lg])
 
     def test_same_layer_twice_rejected(self):
         net = chain_net()
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, layer=0))
         with pytest.raises(PlanError):
             build_plan(net, [lg, lg])
 
     def test_all_filters_pruned_rejected(self):
         net = chain_net()
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row"), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row", layer=0))
         net.weights[0][:] = 0.0
         net.biases[0][:] = 0.0
         refresh_l1(net, lg)
@@ -119,7 +119,7 @@ class TestPlan:
 
     def test_all_columns_pruned_rejected(self):
         net = chain_net()
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, layer=0))
         net.weights[0][:] = 0.0
         refresh_l1(net, lg)
         prune_converged(net, lg)
@@ -155,7 +155,7 @@ class TestForwardEquivalence:
 
     def test_row_pruning_propagates_to_next_conv(self):
         net = chain_net(seed=2)
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row"), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row", layer=0))
         prune_indices(net, lg, [1])
         plan, cnet = self.check(net, [lg])
         assert plan[0].keep_rows.tolist() == [0, 2, 3]
@@ -167,7 +167,7 @@ class TestForwardEquivalence:
 
     def test_last_conv_row_pruning_remaps_fc(self):
         net = chain_net(seed=3)
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row"), 3)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row", layer=3))
         prune_indices(net, lg, [0, 4])
         plan, cnet = self.check(net, [lg])
         # fc consumed 6 planes of 2x2; two planes die, their 4-slices go too
@@ -179,7 +179,7 @@ class TestForwardEquivalence:
 
     def test_channel_pruning_retires_upstream_filter(self):
         net = chain_net(seed=4)
-        lg = build_groups(net, PruneSchedule(ratio=0.2, speed=1.0, kind="channel"), 3)
+        lg = build_groups(net, PruneSchedule(ratio=0.2, speed=1.0, kind="channel", layer=3))
         prune_indices(net, lg, [2])
         plan, cnet = self.check(net, [lg])
         # the producing filter of the dead channel dies with it
@@ -190,7 +190,7 @@ class TestForwardEquivalence:
 
     def test_channel_pruning_on_first_conv_selects_input(self):
         net = chain_net(seed=5)
-        lg = build_groups(net, PruneSchedule(ratio=0.4, speed=1.0, kind="channel"), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.4, speed=1.0, kind="channel", layer=0))
         prune_indices(net, lg, [0])
         plan, cnet = self.check(net, [lg])
         # the first conv still reads both input channels, but lowers only
@@ -201,8 +201,8 @@ class TestForwardEquivalence:
 
     def test_mixed_kinds_across_layers(self):
         net = chain_net(seed=6)
-        row_lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row"), 0)
-        col_lg = build_groups(net, PruneSchedule(ratio=0.2, speed=1.0), 3)
+        row_lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row", layer=0))
+        col_lg = build_groups(net, PruneSchedule(ratio=0.2, speed=1.0, layer=3))
         prune_indices(net, row_lg, [3])
         prune_indices(net, col_lg, [5, 9, 28])
         plan, cnet = self.check(net, [row_lg, col_lg])
@@ -255,7 +255,7 @@ class TestFlops:
 
     def test_counts_follow_plan(self):
         net = chain_net(seed=1)
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row"), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row", layer=0))
         prune_indices(net, lg, [1])
         cnet = compact(net, build_plan(net, [lg]))
         flops = count_gflops(cnet)
@@ -332,7 +332,7 @@ def test_random_prunes_count_from_the_compacted_net(data):
     lgs, kinds = [], {}
     for i in net.conv_indices:
         kinds[i] = data.draw(st.sampled_from(["row", "column", "channel"]))
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind=kinds[i]), i)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind=kinds[i], layer=i))
         drop = data.draw(st.sets(st.integers(0, lg.n_groups - 1)))
         lgs.append(prune_indices(net, lg, drop))
     want = zero_pattern_flops(net, kinds)
@@ -359,7 +359,7 @@ def test_compacted_backward_matches_masked(preset, shape, kinds):
     rng = np.random.default_rng(12)
     lgs = []
     for i, kind in kinds.items():
-        lg = build_groups(net, PruneSchedule(ratio=0.5, speed=1.0, kind=kind), i)
+        lg = build_groups(net, PruneSchedule(ratio=0.5, speed=1.0, kind=kind, layer=i))
         drop = rng.choice(lg.n_groups, size=lg.n_groups // 2, replace=False)
         lgs.append(prune_indices(net, lg, drop.tolist()))
     plan = build_plan(net, lgs)

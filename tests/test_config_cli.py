@@ -560,13 +560,28 @@ class TestCli:
          "layer 0: saved 'lambda' of group 1 is nan, not a finite number"),
         (lambda m: m["scheduler"][1]["rank_sum"].__setitem__(0, float("inf")),
          "layer 2: saved 'rank_sum' of group 0 is inf, not a finite number"),
+        # one rank count per layer, a plain int like update_interval
+        (lambda m: m["scheduler"][0].__setitem__("rank_count", 2.5),
+         "scheduler state 'rank_count' must be an integer, got 2.5"),
+        (lambda m: m["scheduler"][0].__setitem__("rank_count", True),
+         "scheduler state 'rank_count' must be an integer, got True"),
+        (lambda m: m["scheduler"][0].__setitem__("rank_count", -1),
+         "scheduler state 'rank_count' must be >= 0, got -1"),
+        (lambda m: m["scheduler"][0].__setitem__("rank_count", [0] * 10),
+         "scheduler state 'rank_count' must be an integer, got [0, 0"),
+        (lambda m: m["scheduler"][0].__setitem__("target", 5.0),
+         "scheduler state 'target' must be an integer, got 5.0"),
+        # report.validate_report's rule: a factor is never negative
+        (lambda m: m["scheduler"][0]["lambda"].__setitem__(1, -0.5),
+         "layer 0: saved 'lambda' of group 1 is -0.5, a negative factor"),
     ], ids=["unknown-kind", "no-seed", "scheduler-not-a-list", "meta-not-a-mapping",
             "flag-not-0-or-1", "flagged-group-not-zero", "unknown-layer-key",
             "float-filters", "float-input-shape", "bool-seed", "float-iteration",
             "no-final-fc", "string-speed", "list-speed", "bool-speed", "string-ratio",
             "null-epsilon", "string-update-interval", "float-update-interval",
             "bool-layer", "nan-speed", "inf-speed", "nan-epsilon", "minus-inf-epsilon",
-            "nan-lambda", "inf-rank-sum"])
+            "nan-lambda", "inf-rank-sum", "float-rank-count", "bool-rank-count",
+            "negative-rank-count", "list-rank-count", "float-target", "negative-lambda"])
     def test_bad_checkpoint_metadata_is_exit_2(self, pipeline_cfg, capsys, edit, says):
         cfg_path, out = pipeline_cfg
         cfg = parse_config(FAST_PIPELINE)

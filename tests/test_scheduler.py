@@ -40,7 +40,6 @@ from increg.scheduler import (
     build_groups,
     delta_lambda,
     final_rank,
-    group_l1,
     group_layout,
     groups_from_meta,
     groups_to_meta,
@@ -73,8 +72,8 @@ def blob_data():
 
 def bare_layer(n):
     """State of a layer of n row groups, outside any network."""
-    return LayerGroups(layer=0, kind="row", layout=(n, 1, 1, 1), target=0,
-                       schedule=PruneSchedule(ratio=0.0, speed=1.0, kind="row"))
+    return LayerGroups(PruneSchedule(ratio=0.0, speed=1.0, kind="row", layer=0),
+                       layout=(n, 1, 1, 1))
 
 
 def group_mask(lg, idxs, shape):
@@ -389,7 +388,7 @@ class TestGroupLayouts:
             {"kind": "softmax-xent"},
         ]
         net = build_network(defs, (3, 4, 4), seed=0)
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind=kind), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind=kind, layer=0))
         oracle = members_oracle((4, 3, 2, 2), kind)
         assert lg.n_groups == count
         for g, m in enumerate(oracle):
@@ -400,7 +399,7 @@ class TestGroupLayouts:
         net = blob_net()
         shape = net.weights[0].shape
         for kind in ("column", "row", "channel"):
-            lg = build_groups(net, PruneSchedule(ratio=0.1, speed=1.0, kind=kind), 0)
+            lg = build_groups(net, PruneSchedule(ratio=0.1, speed=1.0, kind=kind, layer=0))
             cover = sum(group_mask(lg, [g], shape).astype(int)
                         for g in range(lg.n_groups))
             assert np.all(cover == 1)
@@ -409,7 +408,7 @@ class TestGroupLayouts:
         net = blob_net(seed=9)
         w = np.abs(net.weights[2]).ravel()
         for kind in GROUP_KINDS:
-            lg = build_groups(net, PruneSchedule(ratio=0.2, speed=1.0, kind=kind), 2)
+            lg = build_groups(net, PruneSchedule(ratio=0.2, speed=1.0, kind=kind, layer=2))
             vec = refresh_l1(net, lg)
             assert vec.dtype == np.float32
             members = members_oracle(net.weights[2].shape, kind)
@@ -419,7 +418,7 @@ class TestGroupLayouts:
 
     def test_pruned_group_reports_zero_l1(self):
         net = blob_net()
-        lg = build_groups(net, PruneSchedule(ratio=0.2, speed=1.0), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.2, speed=1.0, layer=0))
         lg.pruned[4] = True     # the cache reads 0 whatever the weights hold
         vec = refresh_l1(net, lg)
         assert vec[4] > 0.0 and lg.l1[4] == 0.0
@@ -443,7 +442,7 @@ class TestTargets:
         ]
         net = build_network(defs, (2, 1, 1), seed=0)
         with pytest.raises(ScheduleError):
-            build_groups(net, PruneSchedule(ratio=0.5, speed=1.0), 0)
+            build_groups(net, PruneSchedule(ratio=0.5, speed=1.0, layer=0))
 
     def test_non_conv_layer_rejected(self):
         defs = [
@@ -453,7 +452,7 @@ class TestTargets:
         ]
         net = build_network(defs, (4, 1, 1), seed=0)
         with pytest.raises(ScheduleError):
-            build_groups(net, PruneSchedule(ratio=0.1, speed=1.0), 1)
+            build_groups(net, PruneSchedule(ratio=0.1, speed=1.0, layer=1))
 
 
 class TestBinding:
@@ -516,8 +515,8 @@ class TestPruneScan:
             {"kind": "softmax-xent"},
         ]
         net = build_network(defs, (6, 1, 1), seed=1)
-        sch = PruneSchedule(ratio=0.5, speed=1.0, epsilon=eps)
-        lg = build_groups(net, sch, 0)
+        sch = PruneSchedule(ratio=0.5, speed=1.0, epsilon=eps, layer=0)
+        lg = build_groups(net, sch)
         return net, lg
 
     def test_prunes_exactly_the_below_threshold_groups(self):
@@ -573,7 +572,7 @@ class TestPruneScan:
             {"kind": "softmax-xent"},
         ]
         net = build_network(defs, (3, 1, 1), seed=2)
-        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row"), 0)
+        lg = build_groups(net, PruneSchedule(ratio=0.25, speed=1.0, kind="row", layer=0))
         net.weights[0][2] = 0.0
         net.biases[0][2] = 0.7
         refresh_l1(net, lg)
@@ -692,9 +691,9 @@ class TestMetaRoundTrip:
             lg.rank_count += 1
         meta = groups_to_meta(lgs)
         assert json.loads(json.dumps(meta)) == meta
-        assert meta[0]["rank_count"] == [1] * lgs[0].n_groups
+        assert meta[0]["rank_count"] == 1
         assert all(type(v) is float for v in meta[0]["lambda"] + meta[0]["rank_sum"])
-        assert all(type(v) is int for v in meta[0]["pruned"] + meta[0]["rank_count"])
+        assert all(type(v) is int for v in meta[0]["pruned"] + [meta[0]["rank_count"]])
 
     def test_group_count_mismatch_rejected(self):
         net = blob_net()
@@ -713,7 +712,10 @@ class TestMetaRoundTrip:
     def test_short_or_long_group_list_rejected(self, key):
         for cut in (slice(0, -1), slice(0, None)):
             net, meta = self.saved()
-            meta[1][key] = meta[1][key][cut] + ([0] if cut.stop is None else [])
+            # one rank count per layer: a list of it, one per group, is rejected too
+            saved = ([meta[1][key]] * len(meta[1]["pruned"]) if key == "rank_count"
+                     else meta[1][key])
+            meta[1][key] = saved[cut] + ([0] if cut.stop is None else [])
             with pytest.raises(ScheduleError, match=key):
                 groups_from_meta(net, meta)
 
@@ -722,12 +724,6 @@ class TestMetaRoundTrip:
         net, meta = self.saved()
         del meta[0][key]
         with pytest.raises(ScheduleError, match=key):
-            groups_from_meta(net, meta)
-
-    def test_unequal_rank_counts_rejected(self):
-        net, meta = self.saved()
-        meta[0]["rank_count"][3] = 1
-        with pytest.raises(ScheduleError, match="rank counts"):
             groups_from_meta(net, meta)
 
     @pytest.mark.parametrize("edit", [
@@ -955,7 +951,7 @@ class TestRunPruning:
         acc, _ = evaluate(net, x, y)
         assert acc >= 0.9
         for lg in lgs:
-            l1 = group_l1(net.weights[lg.layer], lg.kind)
+            l1 = np.abs(lg.grouped(net.weights[lg.layer])).sum(axis=0).sum(axis=1)
             assert np.all(l1[lg.pruned] == 0.0)
             assert np.all(l1[~lg.pruned] > 0)
 
@@ -1073,7 +1069,7 @@ def assert_matches_masked(got, want, lgs, tol):
             assert not mine[~mask].any()
     for lg in lgs:
         for net in (got, want):
-            assert not group_l1(net.weights[lg.layer], lg.kind)[lg.pruned].any()
+            assert not lg.grouped(net.weights[lg.layer]).any(axis=(0, 2))[lg.pruned].any()
     return kept
 
 
