@@ -496,17 +496,33 @@ class TestConvWeightGradient:
             assert worst <= 1e-6, (dtype, worst)
 
 
+def special_values(dtype):
+    """-0.0, both infinities and a negative NaN with a payload, in ``dtype``."""
+    nan = {np.float32: 0xFFC0_1234, np.float64: 0xFFF8_0000_0000_1234}[dtype]
+    payload = np.array([nan], dtype=f"u{np.dtype(dtype).itemsize}").view(dtype)
+    return np.concatenate([np.array([-0.0, np.inf, -np.inf], dtype=dtype), payload])
+
+
 class TestMaxPool:
     def test_matches_loop_oracle_with_ties(self):
         rng = np.random.default_rng(4)
-        for shape in ((3, 4, 6, 2), (2, 2, 2, 1), (1, 8, 4, 3)):
-            # small integers force ties inside most windows
-            x = rng.integers(-2, 3, size=shape).astype(np.float32)
-            y = maxpool2x2(x)
-            dy = rng.standard_normal(y.shape).astype(np.float32)
-            want_y, want_dx = maxpool_loops(x, dy)
-            assert y.tobytes() == want_y.tobytes()
-            assert maxpool2x2_backward(dy, x, y).tobytes() == want_dx.tobytes()
+        for dtype in (np.float32, np.float64):
+            for shape in ((3, 4, 6, 2), (2, 2, 2, 1), (1, 8, 4, 3)):
+                # small integers force ties inside most windows
+                x = rng.integers(-2, 3, size=shape).astype(dtype)
+                y = maxpool2x2(x)
+                dy = rng.standard_normal(y.shape).astype(dtype)
+                # every dy entry is routed: its bits, signed zeros and NaN
+                # payloads included, must reach dx unchanged
+                odd = dy.copy()
+                at = rng.choice(odd.size, size=(odd.size + 1) // 2, replace=False)
+                odd.flat[at] = rng.choice(special_values(dtype), size=at.size)
+                strided = rng.standard_normal(y.shape + (2,)).astype(dtype)[..., 1]
+                assert not strided.flags.c_contiguous
+                for g in (dy, odd, strided):
+                    want_y, want_dx = maxpool_loops(x, g)
+                    assert y.tobytes() == want_y.tobytes()
+                    assert maxpool2x2_backward(g, x, y).tobytes() == want_dx.tobytes()
 
 
 def dense_net(in_features, out_features):
