@@ -23,15 +23,7 @@ from . import data as datamod
 from . import report as reportmod
 from . import scheduler as sched
 from . import theorem
-from .compact import (
-    PlanError,
-    bench,
-    build_plan,
-    compact,
-    flops_totals,
-    render_table,
-    write_bench_report,
-)
+from .compact import PlanError, bench, build_plan, compact, render_table, write_bench_report
 from .data import load_dataset
 from .network import TrainingDiverged, build_network, evaluate, train_network
 from .tensor import GeometryError, ShapeError
@@ -137,10 +129,6 @@ def cmd_prune(args) -> int:
         reportmod.write_csv(e.report, report_path)
         reportmod.write_summary(e.report, summary_path)
         raise
-    flops = flops_totals(net, compact(net, build_plan(net, groups)))
-    rep.summary["flops_base"] = flops["total_base"]
-    rep.summary["flops_pruned"] = flops["total_pruned"]
-    rep.summary["flops_ratio"] = flops["ratio"]
     reportmod.write_csv(rep, report_path)
     reportmod.write_summary(rep, summary_path)
     out_path = os.path.join(cfg.out, "pruned.ckpt")
@@ -149,7 +137,7 @@ def cmd_prune(args) -> int:
         print(f"layer {lay['layer']}: pruned {lay['pruned']}/{lay['n_groups']} "
               f"{lay['kind']} groups (target {lay['target']})")
     print(f"compacted steps: {rep.summary['compacted_steps']} of {rep.summary['prune_iters']}")
-    print(f"FLOPs ratio {flops['ratio']:.4f}x; checkpoint: {out_path}")
+    print(f"FLOPs ratio {rep.summary['flops_ratio']:.4f}x; checkpoint: {out_path}")
     return 0
 
 

@@ -10,8 +10,9 @@ of the fc input, and a conv that lost columns keeps its kernel as a lowered
 matrix and lowers only the input rows those columns read
 (``LayerSpec.keep_cols``), so arbitrary column subsets remain dense. That
 network is the one description of the pruned shape: its FLOPs are counted
-from its own weights, like any network's. :class:`Compacted` trains it in
-place of the full-size net and writes its kept entries back.
+from its own weights, like any network's. The prune's tail and the retrain
+train it in place of the full-size net, and :func:`write_back` returns its
+kept entries.
 """
 
 from __future__ import annotations
@@ -201,42 +202,23 @@ def compact(net: NetworkState, plan: dict[int, ConvPlan]) -> CompactNetwork:
     )
 
 
-_PARAMS = ("weights", "biases", "vel_w", "vel_b")
+def write_back(full: NetworkState, small: NetworkState, plan: dict[int, ConvPlan]) -> None:
+    """Zero ``full``'s weights, biases and momenta, then write ``small``, its
+    compacted net of ``plan``, back through :func:`kept_index`.
 
-
-class Compacted:
-    """The compacted net of a full-size net, which trains in its place, and
-    the write-back of its kept entries.
-
-    ``net`` is :func:`compact` of the plan, momenta included. On creation
-    the full-size arrays are zeroed and take back the kept entries, so the
-    weights that nothing reads (a filter retired upstream by a channel
-    group, and the next conv's columns and the fc inputs that read a dead
-    filter) hold zeros from then on; :meth:`scatter` writes the trained
-    entries back through :func:`kept_index`. The prune's tail and the
-    retrain both train it with no group factors and write it back once, at
-    their end.
+    Every weight of ``full`` that nothing reads (a filter retired upstream
+    by a channel group, and the next conv's columns and the fc inputs that
+    read a dead filter) is then an exact zero; ``full`` takes ``small``'s
+    iteration.
     """
-
-    def __init__(self, full: NetworkState, plan: dict[int, ConvPlan]):
-        self.full = full
-        self.net = compact(full, plan)
-        self.index = kept_index(full, plan)
-        for name in _PARAMS:
-            for a in getattr(full, name):
-                if a is not None:
-                    a.fill(0)
-        self.scatter()
-
-    def scatter(self) -> None:
-        """Write the compacted net's kept entries into the full-size arrays."""
-        for name in _PARAMS:
-            which = name in ("biases", "vel_b")
-            for i in self.full.parametric_indices:
-                # reshape(-1) is a view: every array of a net is C-contiguous
-                full = getattr(self.full, name)[i].reshape(-1)
-                full[self.index[i][which]] = getattr(self.net, name)[i].reshape(-1)
-        self.full.iteration = self.net.iteration
+    index = kept_index(full, plan)
+    for name, which in (("weights", 0), ("biases", 1), ("vel_w", 0), ("vel_b", 1)):
+        for i in full.parametric_indices:
+            # reshape(-1) is a view: every array of a net is C-contiguous
+            flat = getattr(full, name)[i].reshape(-1)
+            flat.fill(0)
+            flat[index[i][which]] = getattr(small, name)[i].reshape(-1)
+    full.iteration = small.iteration
 
 
 def count_gflops(net: NetworkState) -> dict[int, int]:

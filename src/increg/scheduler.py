@@ -11,7 +11,8 @@ target count: the scheduler writes zeros into every pruned group before
 each step. A finished layer steps its surviving factors back to zero; once
 every layer is finished and no surviving factor is positive, the rest of
 the phase is plain SGD on the compacted network, with no scheduler work,
-and so is the retrain that follows (:func:`retrain_network`).
+and so is the retrain that follows (:func:`retrain_network`). A prune
+plans its compaction once, and counts its FLOPs from its compacted network.
 A layer's whole state is its schedule and a few per-group vectors
 (:class:`LayerGroups`); :func:`group_layout` and :meth:`LayerGroups.grouped`
 define where each group lies in the weight.
@@ -24,7 +25,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .compact import Compacted, PlanError, build_plan, check_pruned_zero
+from .compact import (PlanError, build_plan, check_pruned_zero, compact, flops_totals,
+                      write_back)
 from .network import NetworkState, TrainConfig, _sgd_loop, evaluate
 from .report import PruneReport, Snapshot
 
@@ -421,24 +423,29 @@ def run_pruning(
     the compacted net of ``compact.compact``, with no factors: the
     scheduler ranks, updates and records nothing after the hand-over
     step's pass, so ``rank_sum`` and ``rank_count`` cover the passes up to
-    and including it. At the end the kept weights, biases and momenta are
-    written back into ``net``'s full-size arrays, where every weight that
-    nothing reads and no group prunes is an exact zero: a filter retired
-    upstream by a channel group, and the next conv's columns and the fc
-    inputs that read a dead filter. A zero-ratio schedule hands over at
-    step 0 and keeps every filter and column, so it still matches plain
-    training bit for bit. The summary's ``converged_iteration`` is the
+    and including it. At the end ``compact.write_back`` returns the kept
+    weights, biases and momenta to ``net``'s full-size arrays, where every
+    weight that nothing reads and no group prunes is an exact zero: a
+    filter retired upstream by a channel group, and the next conv's columns
+    and the fc inputs that read a dead filter. A zero-ratio schedule hands
+    over at step 0 and keeps every filter and column, so it still matches
+    plain training bit for bit. The summary's ``converged_iteration`` is the
     net's global iteration (earlier phases' steps included) at the first
     finished step, or after the last step if only that step finished it.
+    The compaction plan is built once, there; a finished prune's summary
+    also holds ``flops_base``, ``flops_pruned`` and ``flops_ratio``, the
+    ``compact.flops_totals`` of ``net`` and its compacted net (the tail's,
+    or the plan's compacted net if the prune never handed over).
 
     Raises PruneDidNotConverge if any layer misses its target (the net
     then never compacted, and its state stays full-size);
-    PruneCannotCompact, a PlanError, at the first finished step if the
-    pruned groups leave a conv no filter or no column to keep, or no kept
-    column that reads the previous conv's surviving filters (its report
-    ends with every layer's state at that step); TrainingDiverged at the
-    first non-finite loss; and DatasetError before the first step if a
-    label is not one of the net's classes.
+    PruneCannotCompact, a PlanError, at the first finished step (or after
+    the last step, if that is the first) if the pruned groups leave a conv
+    no filter or no column to keep, or no kept column that reads the
+    previous conv's surviving filters (its report ends with every layer's
+    state at that step); TrainingDiverged at the first non-finite loss (in
+    the tail, ``net`` keeps its values of the hand-over); and DatasetError
+    before the first step if a label is not one of the net's classes.
 
     report_stride thins the report to every Nth update step (the first and
     final states are always recorded); it does not change the schedule.
@@ -451,7 +458,7 @@ def run_pruning(
     snapshots: list[Snapshot] = []
     converged_at: int | None = None
     plan = None                         # set at the first finished step
-    tail: Compacted | None = None
+    tail = None                         # the compacted net, from the hand-over
     tail_steps = 0
 
     def prune_pass() -> bool:
@@ -479,10 +486,19 @@ def run_pruning(
             ],
         }
 
+    def checked_plan(t: int, inst: dict[int, np.ndarray]) -> dict:
+        try:
+            return build_plan(net, layer_groups)
+        except PlanError as e:
+            # the report ends with every layer's state at this step
+            _snapshot(snapshots, t, layer_groups, inst)
+            raise PruneCannotCompact(str(e), PruneReport(snapshots, summary()),
+                                     layer_groups) from e
+
     def terms(k: int):
         nonlocal converged_at, plan, tail, tail_steps
         if tail is not None:
-            return tail.net, None
+            return tail, None
         t = net.iteration
         finished = prune_pass() and converged_at is None
         if finished:
@@ -501,13 +517,7 @@ def run_pruning(
                 final_rank(lg), lg.schedule.ratio, lg.n_groups, lg.schedule.speed)[live]
             lg.lam[live] = np.maximum(lg.lam[live] + step, 0.0)
         if finished:
-            try:
-                plan = build_plan(net, layer_groups)
-            except PlanError as e:
-                # the report ends with every layer's state at this step
-                _snapshot(snapshots, t, layer_groups, inst)
-                raise PruneCannotCompact(str(e), PruneReport(snapshots, summary()),
-                                         layer_groups) from e
+            plan = checked_plan(t, inst)
         snap = [lg for lg in due
                 if k % (lg.schedule.update_interval * report_stride) == 0]
         if snap:
@@ -515,21 +525,23 @@ def run_pruning(
         # the pruned flags are final once every layer is finished, so the plan holds
         if plan is not None and not any((lg.lam[~lg.pruned] > 0).any()
                                         for lg in layer_groups):
-            tail = Compacted(net, plan)
+            tail = compact(net, plan)
             tail_steps = cfg.max_iters - k
-            return tail.net, None
+            return tail, None
         # views, not copies: the step reads them before the factors move again
         return net, {lg.layer: lg.lam.reshape(lg.layout) for lg in layer_groups}
 
     _sgd_loop(net, x, y, cfg, net.rng_seed if seed is None else seed, "prune",
               terms, val=eval_data)
     if tail is not None:
-        tail.scatter()
+        write_back(net, tail, plan)
 
     # the last step may have pushed the final groups under the threshold
     if prune_pass() and converged_at is None:
         converged_at = net.iteration
     inst = {lg.layer: rank_groups(lg.l1) for lg in layer_groups}
+    if converged_at is not None and plan is None:
+        plan = checked_plan(net.iteration, inst)
     _snapshot(snapshots, net.iteration, layer_groups, inst)
 
     report = PruneReport(snapshots=snapshots, summary=summary())
@@ -548,6 +560,10 @@ def run_pruning(
         acc, loss = evaluate(net, eval_data[0], eval_data[1])
         report.summary["final_accuracy"] = acc
         report.summary["final_loss"] = loss
+    flops = flops_totals(net, compact(net, plan) if tail is None else tail)
+    report.summary["flops_base"] = flops["total_base"]
+    report.summary["flops_pruned"] = flops["total_pruned"]
+    report.summary["flops_ratio"] = flops["ratio"]
     return net, report, layer_groups
 
 
@@ -557,20 +573,20 @@ def retrain_network(net: NetworkState, layer_groups: list[LayerGroups], x: np.nd
     """Fine-tune a pruned net: ``cfg.max_iters`` steps of the SGD loop on its
     compacted net, with no group factors.
 
-    The net is compacted with its momenta through :class:`compact.Compacted`,
-    and at the end every kept weight, bias and momentum is written back
-    into ``net``'s full-size arrays, where every pruned weight and every
-    weight that nothing reads is an exact zero: a filter retired upstream
-    by a channel group, and the next conv's columns and the fc inputs that
-    read a dead filter. Groups that prune nothing compact to the whole net,
-    so then this equals ``network.train_network`` bit for bit. Returns the
-    compacted net it trained. Raises PlanError before the first step if the
+    The net is compacted with its momenta by ``compact.compact``, and at
+    the end ``compact.write_back`` returns every kept weight, bias and
+    momentum to ``net``'s full-size arrays, where every pruned weight and
+    every weight that nothing reads is an exact zero: a filter retired
+    upstream by a channel group, and the next conv's columns and the fc
+    inputs that read a dead filter. Groups that prune nothing compact to
+    the whole net, so then this equals ``network.train_network`` bit for
+    bit. Returns the compacted net it trained. Raises PlanError before the first step if the
     groups leave some conv no filter or no column to keep (see
     ``compact.build_plan``); see :func:`network._sgd_loop` for the batch
     stream, the lr schedule, the per-epoch log and the other errors.
     """
-    small = Compacted(net, build_plan(net, layer_groups))
-    _sgd_loop(small.net, x, y, cfg, seed, "retrain",
-              lambda k: (small.net, None), val, log_rows)
-    small.scatter()
-    return small.net
+    plan = build_plan(net, layer_groups)
+    small = compact(net, plan)
+    _sgd_loop(small, x, y, cfg, seed, "retrain", lambda k: (small, None), val, log_rows)
+    write_back(net, small, plan)
+    return small

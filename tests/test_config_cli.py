@@ -715,6 +715,7 @@ class TestCli:
         summary = read_json(os.path.join(out, "prune_summary.json"))
         assert summary["converged_iteration"] is None
         assert summary["compacted_steps"] == 0
+        assert not any(k.startswith("flops_") for k in summary)
         assert os.path.exists(os.path.join(out, "prune_report.csv"))
 
     def test_diverging_train_is_exit_4(self, tmp_path, capsys):

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import increg.compact as compact_mod
 import increg.network as network
 import increg.scheduler as scheduler
 
 from helpers import report_rows
-from increg.compact import CompactNetwork, PlanError, build_plan, check_pruned_zero, compact
+from increg.compact import (CompactNetwork, PlanError, build_plan, check_pruned_zero, compact,
+                            flops_totals)
 from increg.config import PRESETS
 from increg.data import batch_iter, make_blobs
 from increg.network import (
@@ -142,6 +142,13 @@ def stepping(net, weight_seq):
             mock.patch.object(network, "sgd_step", step), \
             mock.patch.object(scheduler, "build_all_groups", capture):
         yield factors
+
+
+def assert_summary_flops(net, summary, lgs):
+    """A finished prune's summary carries the FLOPs of the net compacted by its groups."""
+    flops = flops_totals(net, compact(net, build_plan(net, lgs)))
+    assert [summary[f"flops_{k}"] for k in ("base", "pruned", "ratio")] == \
+        [flops["total_base"], flops["total_pruned"], flops["ratio"]]
 
 
 def drive(net, schedules, weight_seq, report_stride=1):
@@ -643,7 +650,7 @@ class TestHandOver:
             made.append((args[0].iteration, compact(*args)))
             return made[-1][1]
 
-        with mock.patch.object(compact_mod, "compact", compact_spy):
+        with mock.patch.object(scheduler, "compact", compact_spy):
             report, lgs, factors = drive(net, [sch], seq)
         summary, lg = report.summary, lgs[0]
         assert summary["converged_iteration"] == 6
@@ -909,7 +916,7 @@ class TestRunPruning:
             made.append(compact(*args))
             return made[-1]
 
-        with mock.patch.object(compact_mod, "compact", compact_spy):
+        with mock.patch.object(scheduler, "compact", compact_spy):
             net, report, lgs = run_pruning(blob_net(), x, y, cfg, schedules, seed=11,
                                            eval_data=(x, y))
         assert len(made) == 1
@@ -925,11 +932,12 @@ class TestRunPruning:
         assert np.array_equal(net.weights[2][:, ~lgs[1].pruned].reshape(8, 5), cnet.weights[2])
         assert not net.weights[2][:, lgs[1].pruned].any()
         assert report.summary["final_accuracy"] >= 0.9
+        assert_summary_flops(net, report.summary, lgs)
 
     def test_non_convergence_never_compacts(self):
         net = blob_net()
         shapes = [None if w is None else w.shape for w in net.weights]
-        with mock.patch.object(compact_mod, "compact") as never, \
+        with mock.patch.object(scheduler, "compact") as never, \
                 pytest.raises(PruneDidNotConverge) as e:
             run_pruning(net, *blob_data(), TrainConfig(base_lr=0.05, weight_decay=0.0,
                                                        batch_size=32, max_iters=30),
@@ -1048,6 +1056,8 @@ def toy_cut_prune(case):
     cut = copy.deepcopy(toy_prune(case, 600 - summary["compacted_steps"]))
     assert cut[1]["compacted_steps"] == 0
     assert cut[1]["converged_iteration"] == summary["converged_iteration"]
+    # it finished on the pass after its last step, with no hand-over
+    assert_summary_flops(cut[0], cut[1], cut[2])
     return cut, summary
 
 
@@ -1184,8 +1194,8 @@ def reference_run(net, schedules, weight_seq, report_stride):
     until the pass after the last step. Returns the report rows, the
     convergence iteration, the hand-over step, each step's factors, the
     final groups and the final weights, momentum and biases of every
-    parametric layer. Raises PlanError at the first finished step if some
-    conv keeps no entry.
+    parametric layer. Raises PlanError at the first finished step, the pass
+    after the last step included, if some conv keeps no entry.
     """
     layers = []
     for sch in schedules:
@@ -1281,6 +1291,7 @@ def reference_run(net, schedules, weight_seq, report_stride):
     end = len(weight_seq)
     if prune_pass() and converged is None:
         converged = end
+        keeps()
     snapshot(end, layers, {sch.layer: rank_oracle([g.l1 for g in groups])
                            for sch, groups, _ in layers})
     return rows, converged, handover, factors, layers, (w, vw, b, vb)
@@ -1393,14 +1404,19 @@ def disconnecting_prune():
 
 class TestDisconnectingPrune:
     """Every layer reaches its target, but conv 2 keeps no column that reads
-    a surviving filter of conv 0: the prune stops there with its report."""
+    a surviving filter of conv 0: the prune stops there with its report.
+
+    With 7 steps the prune finishes at the pass before step 6; with 6 it
+    finishes at the pass after its last step, and stops the same way.
+    """
 
     SAYS = "layer 0: no kept column of layer 2 reads a surviving filter"
 
-    def test_raises_with_the_partial_report(self):
+    @pytest.mark.parametrize("steps", [7, 6])
+    def test_raises_with_the_partial_report(self, steps):
         net, schedules, seq = disconnecting_prune()
         with pytest.raises(scheduler.PruneCannotCompact, match=self.SAYS) as e:
-            drive(net, schedules, seq)
+            drive(net, schedules, seq[:steps])
         assert isinstance(e.value, PlanError)
         rows, lgs = e.value.report.snapshots, e.value.groups
         assert lgs[0].pruned.tolist() == [False, True, True, False]
@@ -1413,7 +1429,8 @@ class TestDisconnectingPrune:
         for snap, lg in zip(rows[-2:], lgs):
             assert np.array_equal(snap.pruned, lg.pruned)
 
-    def test_cli_exits_2_and_writes_the_partial_report(self, tmp_path, capsys):
+    @pytest.mark.parametrize("steps", [7, 6])
+    def test_cli_exits_2_and_writes_the_partial_report(self, tmp_path, capsys, steps):
         import yaml
 
         from increg.checkpoint import save_checkpoint
@@ -1427,13 +1444,13 @@ class TestDisconnectingPrune:
                         "n_test": 2},
             "architecture": {"preset": None, "layers": REF_DEFS},
             "prune": {"ratio": 0.5, "kind": "row", "speed": 0.5, "epsilon": 0.3,
-                      "update_interval": 1, "max_iters": 7,
+                      "update_interval": 1, "max_iters": steps,
                       "per_layer": [{"layer": 2, "ratio": 0.5, "kind": "column"}]},
         }
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(yaml.safe_dump(cfg))
         out = tmp_path / "run"
-        with stepping(net, seq):
+        with stepping(net, seq[:steps]):
             code = main(["prune", "--config", str(cfg_path), "--out", str(out),
                          "--checkpoint", baseline])
         assert code == 2
@@ -1441,6 +1458,7 @@ class TestDisconnectingPrune:
         summary = json.loads((out / "prune_summary.json").read_text())
         assert summary["converged_iteration"] == 6
         assert summary["compacted_steps"] == 0
+        assert not any(k.startswith("flops_") for k in summary)
         assert [lay["kind"] for lay in summary["layers"]] == ["row", "column"]
         rows = (out / "prune_report.csv").read_text().splitlines()
         assert len(rows) == 1 + 7 * (4 + 4)
