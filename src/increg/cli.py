@@ -96,7 +96,7 @@ def _fit_and_save(cfg, net, train, val, tcfg, seed, verb, ckpt_name,
     path = os.path.join(cfg.out, ckpt_name)
     ckpt.save_checkpoint(path, net, scheduler=scheduler)
     if len(val[0]):
-        acc, _ = evaluate(net, val[0], val[1])
+        acc, _ = evaluate(net, val[0], val[1], tcfg.batch_size)
         print(f"{verb}ed {tcfg.max_iters} iterations, val accuracy {acc:.4f}")
     print(f"checkpoint: {path}")
     return 0

@@ -486,8 +486,18 @@ def sgd_step(
     return net
 
 
-def evaluate(net: NetworkState, x: np.ndarray, labels: np.ndarray, batch_size: int = 256):
-    """Mean accuracy and mean loss over a dataset."""
+def evaluate(net: NetworkState, x: np.ndarray, labels: np.ndarray,
+             batch_size: int = TrainConfig.batch_size):
+    """Mean accuracy and mean loss over a dataset, ``batch_size`` samples at
+    a time.
+
+    Each batch runs through :func:`apply_layer` keeping only the current
+    activation, none of the backward caches :func:`forward` returns, so the
+    memory is one batch's whatever the dataset size. The results equal a
+    loop of ``forward(...)[0]`` and :func:`softmax_xent` over the same
+    batches bit for bit. Each phase passes its own ``TrainConfig``'s batch
+    size, which is also the default.
+    """
     labels = np.asarray(labels)
     if len(x) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -495,7 +505,10 @@ def evaluate(net: NetworkState, x: np.ndarray, labels: np.ndarray, batch_size: i
     loss_sum = 0.0
     for lo in range(0, len(x), batch_size):
         xb, yb = x[lo : lo + batch_size], labels[lo : lo + batch_size]
-        logits, _ = forward(net, xb)
+        a = input_batch(net, xb)
+        for i in range(len(net.layers)):
+            a = apply_layer(net, i, a)[0]
+        logits = _batch_major(a)
         loss, _ = softmax_xent(logits, yb)
         loss_sum += loss * len(xb)
         correct += int((logits.argmax(axis=1) == yb).sum())
@@ -545,7 +558,7 @@ def _sgd_loop(net, x, y, cfg, seed, phase, terms, val=None, log_rows=None):
                 "train_loss": loss_acc / per_epoch,
             }
             if val is not None and len(val[0]):
-                acc, vloss = evaluate(step_net, val[0], val[1])
+                acc, vloss = evaluate(step_net, val[0], val[1], cfg.batch_size)
                 row["val_accuracy"] = acc
                 row["val_loss"] = vloss
             log_rows.append(row)

@@ -557,7 +557,7 @@ def run_pruning(
         )
 
     if eval_data is not None:
-        acc, loss = evaluate(net, eval_data[0], eval_data[1])
+        acc, loss = evaluate(net, eval_data[0], eval_data[1], cfg.batch_size)
         report.summary["final_accuracy"] = acc
         report.summary["final_loss"] = loss
     flops = flops_totals(net, compact(net, plan) if tail is None else tail)

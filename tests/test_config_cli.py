@@ -14,6 +14,9 @@ import pytest
 import yaml
 
 import increg
+import increg.network
+import increg.scheduler
+from helpers import spy_evaluate
 from increg.checkpoint import load_checkpoint, save_checkpoint
 from increg.cli import main
 from increg.config import (
@@ -831,3 +834,26 @@ class TestCli:
         for i in net.parametric_indices:
             assert np.array_equal(net.weights[i], cli_net.weights[i])
             assert np.array_equal(net.biases[i], cli_net.biases[i])
+
+    def test_every_evaluation_runs_at_the_train_batch_size(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # train.batch_size is each phase's batch, so the closing lines of train
+        # and retrain, their per-epoch validation and the prune's final
+        # accuracy all evaluate at it
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(
+            {**FAST_PIPELINE, "train": {**FAST_PIPELINE["train"], "batch_size": 16}}))
+        seen = []
+        spy_evaluate(monkeypatch, increg.cli, "closing", seen)
+        spy_evaluate(monkeypatch, increg.network, "epoch", seen)
+        spy_evaluate(monkeypatch, increg.scheduler, "final", seen)
+        out = str(tmp_path / "run")
+        calls = {}
+        for cmd in ("train", "prune", "retrain"):
+            assert main([cmd, "--config", str(path), "--out", out]) == 0
+            calls[cmd], seen[:] = list(seen), []
+        capsys.readouterr()
+        # 160 samples are 10 batches of 16: one validation per 10 steps
+        assert calls["train"] == [("epoch", 16)] * 30 + [("closing", 16)]
+        assert calls["prune"] == [("final", 16)]
+        assert calls["retrain"] == [("epoch", 16)] * 6 + [("closing", 16)]

@@ -6,12 +6,14 @@ import struct
 import numpy as np
 import pytest
 
+from increg.config import parse_config
 from increg.data import (
     DatasetError,
     apply_normalization,
     batch_iter,
     channel_means,
     load_cifar10,
+    load_dataset,
     load_idx_pair,
     make_blobs,
     parse_idx,
@@ -85,6 +87,33 @@ class TestIdx:
         pl.write_bytes(idx_bytes(0x08, (3,), bytes(3)))
         with pytest.raises(DatasetError):
             load_idx_pair(pi, pl)
+
+
+class TestLoadDataset:
+    def test_idx_splits_are_the_normalized_files(self, tmp_path):
+        # big-endian float32 IDX files; the last tenth of the training file
+        # is the validation split, and every split loses the train mean
+        rng = np.random.default_rng(5)
+        files = {}
+        for split, n in (("train", 600), ("test", 100)):
+            images = (rng.standard_normal((n, 3, 8, 8)) + 2.0).astype(">f4")
+            labels = rng.integers(0, 4, size=n).astype(np.uint8)
+            for kind, arr, code in (("images", images, 0x0D), ("labels", labels, 0x08)):
+                path = tmp_path / f"{split}_{kind}.idx"
+                path.write_bytes(idx_bytes(code, arr.shape, arr.tobytes()))
+                files[f"{split}_{kind}"] = str(path)
+        x, y = load_idx_pair(files["train_images"], files["train_labels"])
+        tx, ty = load_idx_pair(files["test_images"], files["test_labels"])
+        raw = [(x[:540], y[:540]), (x[540:], y[540:]), (tx, ty)]
+        means = channel_means(raw[0][0])
+        train, val, test, shape, got_means = load_dataset(
+            parse_config({"dataset": {"kind": "idx", **files}}))
+        assert shape == (3, 8, 8) and np.array_equal(got_means, means)
+        for (gx, gy), (rx, ry) in zip((train, val, test), raw):
+            want = apply_normalization(rx, means)
+            assert gx.dtype == want.dtype == np.float32
+            assert gx.tobytes() == want.tobytes()
+            assert np.array_equal(gy, ry)
 
 
 class TestCifar:

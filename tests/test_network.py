@@ -3,6 +3,7 @@
 import copy
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,54 @@ class TestTraining:
         acc, loss = evaluate(net, x, y, batch_size=4)
         assert acc == pytest.approx(float(np.mean(preds == y)))
         assert loss > 0
+
+
+def forward_loop_evaluate(net, x, y, batch_size):
+    """evaluate's oracle: the cached forward and the loss, batch by batch."""
+    correct, loss_sum = 0, 0.0
+    for lo in range(0, len(x), batch_size):
+        logits = forward(net, x[lo : lo + batch_size])[0]
+        loss, _ = softmax_xent(logits, y[lo : lo + batch_size])
+        loss_sum += loss * len(logits)
+        correct += int((logits.argmax(axis=1) == y[lo : lo + batch_size]).sum())
+    return correct / len(x), loss_sum / len(x)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees allocated while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("batch_size", [1, 3, 10, 64])
+    def test_equals_a_forward_loop_bit_for_bit(self, batch_size):
+        # dropping the backward caches changes no bit of the accuracy or loss
+        net = build_network(TINY_DEFS, TINY_SHAPE, seed=21)
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((10, *TINY_SHAPE)).astype(np.float32)
+        y = rng.integers(0, 3, size=10)
+        assert evaluate(net, x, y, batch_size) == forward_loop_evaluate(net, x, y, batch_size)
+
+    def test_memory_is_one_batch_whatever_the_dataset_size(self):
+        # at the default batch, 512 samples hold what 64 do, and less than
+        # one training step or one cached forward of a batch
+        defs = parse_config({"architecture": {"preset": "convnet"}}).arch_defs
+        net = build_network(defs, (3, 16, 16), seed=0)
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((512, 3, 16, 16)).astype(np.float32)
+        y = rng.integers(0, 10, size=512)
+        b = TrainConfig().batch_size
+        assert b == 32
+        small, large = (traced_peak(evaluate, net, x[:n], y[:n]) for n in (64, 512))
+        step = traced_peak(loss_and_grads, net, x[:b], y[:b])
+        cached = traced_peak(forward, net, x[:b])
+        assert abs(large - small) <= 0.1 * small
+        assert max(small, large) < min(step, cached)
 
 
 class TestConfig:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import increg.network as network
 import increg.scheduler as scheduler
 
-from helpers import report_rows
+from helpers import report_rows, spy_evaluate
 from increg.compact import (CompactNetwork, PlanError, build_plan, check_pruned_zero, compact,
                             flops_totals)
 from increg.config import PRESETS
@@ -982,6 +982,35 @@ class TestRunPruning:
     def test_bad_report_stride_rejected(self):
         with pytest.raises(ScheduleError, match="report_stride"):
             self.run(report_stride=0)
+
+
+class TestEvaluationBatch:
+    def test_each_phase_evaluates_at_its_own_batch_size(self, monkeypatch):
+        # train's and retrain's per-epoch validation and the prune's final
+        # evaluation run at the batch size of the phase's TrainConfig
+        seen = []
+        spy_evaluate(monkeypatch, network, "epoch", seen)
+        spy_evaluate(monkeypatch, scheduler, "final", seen)
+        net = blob_net()
+        x, y = blob_data()
+
+        def phase(batch_size, **kw):
+            return TrainConfig(base_lr=0.05, weight_decay=0.0,
+                               batch_size=batch_size, **kw)
+
+        train_network(net, x, y, phase(16, max_iters=40), 3, val=(x, y), log_rows=[])
+        assert seen == [("epoch", 16)] * 4
+        seen.clear()
+        net, report, lgs = run_pruning(net, x, y, phase(20, max_iters=1200),
+                                       [PruneSchedule(ratio=0.5, speed=0.5,
+                                                      update_interval=2)],
+                                       seed=11, eval_data=(x, y))
+        assert report.summary["converged_iteration"] is not None
+        assert seen == [("final", 20)]
+        seen.clear()
+        retrain_network(net, lgs, x, y, phase(8, max_iters=40), 12, val=(x, y),
+                        log_rows=[])
+        assert seen == [("epoch", 8)] * 2
 
 
 def zero_pruned(net, lgs):
